@@ -68,9 +68,8 @@ void BM_VerifsCheckpoint(benchmark::State& state) {
       (void)v.Close(fd.value());
     }
   }
-  std::uint64_t key = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(v.IoctlCheckpoint(++key));
+    benchmark::DoNotOptimize(v.Checkpoint());
   }
   state.counters["state_bytes"] = static_cast<double>(
       v.SnapshotBytes() / std::max<std::uint64_t>(v.SnapshotCount(), 1));
@@ -87,8 +86,9 @@ void BM_VerifsCheckpointRestoreCycle(benchmark::State& state) {
     (void)v.Close(fd.value());
   }
   for (auto _ : state) {
-    (void)v.IoctlCheckpoint(1);
-    (void)v.IoctlRestore(1);
+    const auto snap = v.Checkpoint();
+    (void)v.Restore(snap.value());
+    (void)v.Discard(snap.value());
   }
 }
 BENCHMARK(BM_VerifsCheckpointRestoreCycle);

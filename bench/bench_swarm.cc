@@ -324,12 +324,11 @@ void RunRemoteInsertThroughput(benchmark::State& state, int batch) {
 }
 
 // Connection scaling (DESIGN.md §7.9): N single-connection clients
-// hammer scalar inserts at one visited server, epoll reactor vs the
-// thread-per-connection baseline. The reactor serves every row from
-// one loop thread; the baseline pays one OS thread per connection, and
-// the context-switch tax shows up as the worker count grows. Scalar
+// hammer scalar inserts at one visited server. The epoll reactor serves
+// every row from one loop thread, however many connections. Scalar
 // (batch-1) traffic on purpose: per-connection round-trip handling is
-// exactly what the serving model changes.
+// what the serving model decides. BENCH_net.json keeps the historical
+// comparison against the deleted thread-per-connection model.
 constexpr std::uint64_t kConnScaleInserts = 8192;  // total, split evenly
 
 struct ConnRow {
@@ -337,17 +336,13 @@ struct ConnRow {
   int serving_threads = 0;
 };
 
-std::map<std::string, ConnRow> g_conn;  // "model:workers" -> row
+std::map<int, ConnRow> g_conn;  // workers -> row
 
-void RunConnScaling(benchmark::State& state, bool reactor, int workers) {
+void RunConnScaling(benchmark::State& state, int workers) {
   for (auto _ : state) {
-    net::ServerOptions server_options;
-    server_options.model = reactor
-                               ? net::ServerOptions::Model::kReactor
-                               : net::ServerOptions::Model::kThreadPerConn;
     mc::ShardedVisitedTable table;
     net::VisitedService service(&table);
-    net::FrameServer server({&service}, server_options);
+    net::FrameServer server({&service});
     net::Endpoint loopback;
     loopback.host = "127.0.0.1";
     loopback.port = 0;
@@ -372,8 +367,7 @@ void RunConnScaling(benchmark::State& state, bool reactor, int workers) {
         }
       });
     }
-    // Sample the serving-thread count mid-storm (the reactor's <=2 vs
-    // the baseline's 1+N).
+    // Sample the serving-thread count mid-storm (the reactor's <=2).
     std::this_thread::sleep_for(std::chrono::milliseconds(20));
     const int serving = server.serving_threads();
     for (auto& client : clients) client.join();
@@ -388,8 +382,7 @@ void RunConnScaling(benchmark::State& state, bool reactor, int workers) {
                        static_cast<double>(workers) / wall
                  : 0;
     row.serving_threads = serving;
-    g_conn[(reactor ? std::string("reactor:") : std::string("threads:")) +
-           std::to_string(workers)] = row;
+    g_conn[workers] = row;
     state.counters["inserts_per_s"] = row.inserts_per_s;
     state.counters["serving_threads"] = static_cast<double>(serving);
     if (table.size() != per_worker * static_cast<std::uint64_t>(workers)) {
@@ -737,37 +730,10 @@ void PrintSummary() {
   }
   if (!g_conn.empty()) {
     std::printf("\nconnection scaling, scalar inserts/s (DESIGN.md §7.9):\n");
-    std::printf("%8s %16s %10s %16s %10s\n", "workers", "reactor",
-                "(threads)", "thread-per-conn", "(threads)");
-    for (int workers : {1, 4, 16, 64}) {
-      const auto reactor = g_conn.find("reactor:" + std::to_string(workers));
-      const auto baseline = g_conn.find("threads:" + std::to_string(workers));
-      if (reactor == g_conn.end() || baseline == g_conn.end()) continue;
-      std::printf("%8d %16.0f %10d %16.0f %10d\n", workers,
-                  reactor->second.inserts_per_s,
-                  reactor->second.serving_threads,
-                  baseline->second.inserts_per_s,
-                  baseline->second.serving_threads);
-    }
-    const auto r4 = g_conn.find("reactor:4");
-    const auto t4 = g_conn.find("threads:4");
-    const auto r64 = g_conn.find("reactor:64");
-    const auto t64 = g_conn.find("threads:64");
-    if (r4 != g_conn.end() && t4 != g_conn.end() && r64 != g_conn.end() &&
-        t64 != g_conn.end() && t4->second.inserts_per_s > 0 &&
-        t64->second.inserts_per_s > 0) {
-      std::printf("shape check: at 4 workers the reactor serves %.2fx the "
-                  "baseline's throughput (%s); at 64 workers %.2fx (%s), "
-                  "from %d serving thread(s) vs %d.\n",
-                  r4->second.inserts_per_s / t4->second.inserts_per_s,
-                  r4->second.inserts_per_s >= t4->second.inserts_per_s
-                      ? ">=1, as required"
-                      : "BELOW baseline — regression",
-                  r64->second.inserts_per_s / t64->second.inserts_per_s,
-                  r64->second.inserts_per_s > t64->second.inserts_per_s
-                      ? "strictly better, as required"
-                      : "NOT better — regression",
-                  r64->second.serving_threads, t64->second.serving_threads);
+    std::printf("%8s %16s %10s\n", "workers", "reactor", "(threads)");
+    for (const auto& [workers, row] : g_conn) {
+      std::printf("%8d %16.0f %10d\n", workers, row.inserts_per_s,
+                  row.serving_threads);
     }
   }
   std::printf("%-16s %12s %14s %8s %8s %8s\n", "deployment", "total ops",
@@ -886,14 +852,7 @@ int main(int argc, char** argv) {
     benchmark::RegisterBenchmark(
         ("conn_scale/reactor/workers:" + std::to_string(workers)).c_str(),
         [workers](benchmark::State& state) {
-          RunConnScaling(state, /*reactor=*/true, workers);
-        })
-        ->Iterations(1)
-        ->Unit(benchmark::kMillisecond);
-    benchmark::RegisterBenchmark(
-        ("conn_scale/threads/workers:" + std::to_string(workers)).c_str(),
-        [workers](benchmark::State& state) {
-          RunConnScaling(state, /*reactor=*/false, workers);
+          RunConnScaling(state, workers);
         })
         ->Iterations(1)
         ->Unit(benchmark::kMillisecond);

@@ -6,7 +6,7 @@
 // Commands:
 //   ls <dir> | write <path> <text> | cat <path> | mkdir <p> | rmdir <p>
 //   rm <p> | mv <a> <b> | ln <a> <b> | stat <p> | truncate <p> <n>
-//   checkpoint <key> | restore <key> | statfs | remount | quit
+//   checkpoint | restore <id> | statfs | remount | quit
 #include <cstdio>
 #include <iostream>
 #include <sstream>
@@ -162,14 +162,19 @@ int main(int argc, char** argv) {
       if (checkpointable == nullptr) {
         std::printf("ENOTSUP (the paper's point: only VeriFS has this)\n");
       } else {
-        PrintStatus(checkpointable->IoctlCheckpoint(
-            std::strtoull(a.c_str(), nullptr, 10)));
+        auto snap = checkpointable->Checkpoint();
+        if (snap.ok()) {
+          std::printf("snapshot %llu\n",
+                      static_cast<unsigned long long>(snap.value()));
+        } else {
+          PrintStatus(snap.error());
+        }
       }
     } else if (cmd == "restore") {
       if (checkpointable == nullptr) {
         std::printf("ENOTSUP\n");
       } else {
-        PrintStatus(checkpointable->IoctlRestore(
+        PrintStatus(checkpointable->Restore(
             std::strtoull(a.c_str(), nullptr, 10)));
       }
     } else if (cmd == "statfs") {

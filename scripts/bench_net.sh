@@ -1,9 +1,8 @@
 #!/usr/bin/env bash
-# Runs the network-path benchmarks — the conn_scale/* connection-scaling
-# rows (epoll reactor vs thread-per-conn, DESIGN.md §7.9) and the
-# swarm_remote/* loopback-swarm rows — with machine-readable JSON output
-# so the serving model's throughput can be tracked across PRs. The
-# repo-tracked artifact is BENCH_net.json. Usage:
+# Runs the network-path benchmarks — the conn_scale/reactor/* connection-
+# scaling rows (DESIGN.md §7.9) and the swarm_remote/* loopback-swarm
+# rows — with machine-readable JSON output so the serving model's
+# throughput can be tracked across changes. Usage:
 #
 #   scripts/bench_net.sh [out.json] [extra benchmark args...]
 #
@@ -14,11 +13,17 @@
 # Note: swarm_remote/solo+dist rows depend on the swarm_frontier rows
 # running first (they set the coverage target K), so the default filter
 # includes them.
+#
+# The committed BENCH_net.json is a historical record, not regenerated:
+# it holds the comparison that retired the thread-per-connection server
+# (conn_scale/threads/* rows; reactor vs that baseline: 0.94x at 1
+# worker, 1.07x at 4, 1.42x at 64, single runs on 1 CPU), so the
+# default output goes to the build tree instead.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${MCFS_BUILD_DIR:-${repo_root}/build}"
-out="${1:-BENCH_net.json}"
+out="${1:-${build_dir}/bench_net.json}"
 shift || true
 
 cmake -B "${build_dir}" -S "${repo_root}" > /dev/null

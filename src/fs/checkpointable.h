@@ -12,19 +12,14 @@
 //   Discard(id)                    explicit lifetime end
 //   Stats()                        shared vs exclusive byte accounting
 //
-// Restore-preserving semantics matter for DFS backtracking: the old
-// keyed ioctl_RESTORE consumed its snapshot, forcing the engine to
+// Restore-preserving semantics matter for DFS backtracking: the paper's
+// keyed ioctl_RESTORE consumed its snapshot, which would force a
 // re-checkpoint after every restore just to keep the non-consuming
-// contract the explorer expects.
-//
-// The scalar keyed triple (IoctlCheckpoint/IoctlRestore/IoctlDiscard) is
-// kept as a thin compat shim layered over the handle surface so the FUSE
-// ioctl wire format and recorded traces replay unchanged. Keyed restore
-// still discards its snapshot — exactly the paper's ioctl semantics.
+// contract the explorer expects. Callers that think in their own keys
+// (the model checker's snapshot ids) map them to handles themselves.
 #pragma once
 
 #include <cstdint>
-#include <map>
 
 #include "util/result.h"
 
@@ -71,34 +66,12 @@ class CheckpointableFs {
   // Pool accounting; see SnapshotStats.
   virtual SnapshotStats Stats() const = 0;
 
-  // ------------------------------------------------------------------
-  // Deprecated keyed surface (paper §5 wire compat). Default
-  // implementations shim onto the handle surface through a key->id map;
-  // FUSE clients override these to forward the original opcodes.
-  // ------------------------------------------------------------------
-
-  // Snapshots the full state under caller-chosen `key`, replacing any
-  // previous snapshot with the same key.
-  virtual Status IoctlCheckpoint(std::uint64_t key);
-
-  // Restores the state saved under `key` and DISCARDS the snapshot
-  // (paper ioctl_RESTORE semantics). ENOENT if the key is unknown.
-  virtual Status IoctlRestore(std::uint64_t key);
-
-  // Discards the snapshot under `key` without restoring. ENOENT if
-  // unknown.
-  virtual Status IoctlDiscard(std::uint64_t key);
-
   // Number of snapshots currently held.
   std::uint64_t SnapshotCount() const { return Stats().count; }
 
   // Deduplicated bytes held by the snapshot pool (no double-counting of
   // structurally shared state).
   std::uint64_t SnapshotBytes() const { return Stats().total_bytes; }
-
- private:
-  // Keyed-shim state: which handle each legacy key maps to.
-  std::map<std::uint64_t, SnapshotId> keyed_snapshots_;
 };
 
 }  // namespace mcfs::fs

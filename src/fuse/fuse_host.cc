@@ -229,21 +229,6 @@ Bytes FuseHost::Handle(ByteView request) {
       w.PutU8(hosted_->Supports(feature) ? 1 : 0);
       return w.Take();
     }
-    case Opcode::kIoctlCheckpoint: {
-      if (checkpointable_ == nullptr) return ErrorReply(Errno::kENOTSUP);
-      Status s = checkpointable_->IoctlCheckpoint(r.GetU64());
-      return s.ok() ? OkReply().Take() : ErrorReply(s.error());
-    }
-    case Opcode::kIoctlRestore: {
-      if (checkpointable_ == nullptr) return ErrorReply(Errno::kENOTSUP);
-      Status s = checkpointable_->IoctlRestore(r.GetU64());
-      return s.ok() ? OkReply().Take() : ErrorReply(s.error());
-    }
-    case Opcode::kIoctlDiscard: {
-      if (checkpointable_ == nullptr) return ErrorReply(Errno::kENOTSUP);
-      Status s = checkpointable_->IoctlDiscard(r.GetU64());
-      return s.ok() ? OkReply().Take() : ErrorReply(s.error());
-    }
     case Opcode::kCheckpointHandle: {
       if (checkpointable_ == nullptr) return ErrorReply(Errno::kENOTSUP);
       auto id = checkpointable_->Checkpoint();

@@ -347,22 +347,4 @@ fs::SnapshotStats FuseClientFs::Stats() const {
   return stats;
 }
 
-Status FuseClientFs::IoctlCheckpoint(std::uint64_t key) {
-  ByteWriter w = Request(Opcode::kIoctlCheckpoint);
-  w.PutU64(key);
-  return SimpleCall(w.bytes());
-}
-
-Status FuseClientFs::IoctlRestore(std::uint64_t key) {
-  ByteWriter w = Request(Opcode::kIoctlRestore);
-  w.PutU64(key);
-  return SimpleCall(w.bytes());
-}
-
-Status FuseClientFs::IoctlDiscard(std::uint64_t key) {
-  ByteWriter w = Request(Opcode::kIoctlDiscard);
-  w.PutU64(key);
-  return SimpleCall(w.bytes());
-}
-
 }  // namespace mcfs::fuse

@@ -79,13 +79,6 @@ class FuseClientFs final : public fs::FileSystem,
   Status Discard(fs::SnapshotId id) override;
   fs::SnapshotStats Stats() const override;
 
-  // Legacy keyed form — forwarded verbatim as ioctls (paper §5) over the
-  // original opcodes so recorded traces replay wire-identically; the
-  // hosted file system's base-class shims own the key -> handle map.
-  Status IoctlCheckpoint(std::uint64_t key) override;
-  Status IoctlRestore(std::uint64_t key) override;
-  Status IoctlDiscard(std::uint64_t key) override;
-
  private:
   Result<Bytes> Call(ByteView request) const;
   Status SimpleCall(ByteView request) const;

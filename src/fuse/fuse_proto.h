@@ -40,15 +40,11 @@ enum class Opcode : std::uint8_t {
   kListXattr = 24,
   kRemoveXattr = 25,
   kSupports = 26,
-  // The paper's proposed APIs, carried as ioctls (§5). 40-42 are the
-  // legacy keyed (consuming-restore) form, kept wire-compatible so
-  // recorded traces replay unchanged.
-  kIoctlCheckpoint = 40,
-  kIoctlRestore = 41,
-  kIoctlDiscard = 42,
-  // Handle-based snapshot surface: checkpoint returns a daemon-allocated
+  // The paper's proposed checkpoint/restore API (§5), carried as ioctls
+  // in handle form: checkpoint returns a daemon-allocated
   // fs::SnapshotId, restore/discard take one, stats reports the pool's
-  // shared/exclusive byte accounting.
+  // shared/exclusive byte accounting. 40-42, the paper's keyed
+  // (consuming-restore) form, are retired and answer kEINVAL.
   kCheckpointHandle = 43,
   kRestoreHandle = 44,
   kDiscardHandle = 45,

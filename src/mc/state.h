@@ -75,9 +75,10 @@ class System {
 
   // Concrete-state checkpointing for backtracking. RestoreConcrete must
   // be NON-consuming: the explorer restores the same snapshot once per
-  // remaining sibling during DFS. (VeriFS's ioctl_RESTORE discards its
-  // snapshot, paper §5 — the syscall engine re-arms it to satisfy this
-  // contract.) DiscardConcrete releases the snapshot.
+  // remaining sibling during DFS. (The paper's ioctl_RESTORE consumed its
+  // snapshot, §5; VeriFS's handle API restores without consuming, so the
+  // syscall engine meets this contract directly.) DiscardConcrete
+  // releases the snapshot.
   virtual Result<SnapshotId> SaveConcrete() = 0;
   virtual Status RestoreConcrete(SnapshotId id) = 0;
   virtual Status DiscardConcrete(SnapshotId id) = 0;

@@ -49,10 +49,10 @@ struct AbstractionOptions {
   // Ablation knob (bench T-statespace): hash timestamps too, showing the
   // state explosion the paper describes when noise enters the state.
   bool include_timestamps = false;
-  // Use the IncrementalAbstraction cache in the engines instead of a full
+  // Use the IncrementalAbstraction cache in the engine instead of a full
   // recompute per step. On by default: the differential suite (ctest -L
-  // abstraction) proves incremental == full per step, and the engines
-  // refuse the cache for the deliberately-broken kMountOnce strategy
+  // abstraction) proves incremental == full per step, and the engine
+  // refuses the cache for the deliberately-broken kMountOnce strategy
   // (§3.2), whose incoherent restores are the one assumption the cache
   // cannot survive — so kMountOnce corruption stays observable. Set to
   // false for a full recompute per step (the reference oracle; the
@@ -106,12 +106,12 @@ Result<NodeDigest> HashNode(vfs::Vfs& v, const std::string& path,
 //   * Refresh() applies one operation's TouchedPathSet: evicts removed
 //     subtrees, re-keys renamed ones, re-stats/re-hashes dirty paths and
 //     every cached hard-link alias of a touched inode, then folds.
-//   * SaveEpoch()/RestoreEpoch()/DiscardEpoch() mirror the engines'
+//   * SaveEpoch()/RestoreEpoch()/DiscardEpoch() mirror the engine's
 //     concrete snapshots: restoring a snapshot rolls the cache back to
 //     the state it had when the snapshot was taken (a restore to an
 //     unknown epoch just invalidates, which is always safe).
 //
-// Not thread-safe; the engines keep one instance per file system per
+// Not thread-safe; the engine keeps one instance per file system per
 // worker (swarm workers share only the AbstractionOptions value, which
 // is copied at config time).
 class IncrementalAbstraction {
@@ -138,7 +138,7 @@ class IncrementalAbstraction {
   // epoch restore, when the tree is known byte-for-byte.
   Result<Md5Digest> Current(vfs::Vfs& v, const AbstractionOptions& options);
 
-  // Epoch tags, keyed by the engines' snapshot ids.
+  // Epoch tags, keyed by the engine's snapshot ids.
   void SaveEpoch(std::uint64_t key);
   // Returns false (and invalidates) when the epoch is unknown or was
   // saved while the cache was invalid.

@@ -121,4 +121,82 @@ CheckVerdict CompareOutcomes(const Operation& op, const OpOutcome& a,
   return {true, ""};
 }
 
+VoteResult Elect(std::size_t n,
+                 const std::function<bool(std::size_t, std::size_t)>& same,
+                 std::optional<std::size_t> oracle) {
+  VoteResult result;
+  std::vector<int>& group = result.group_of;
+  group.assign(n, -1);
+  std::vector<std::size_t> group_size;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (group[i] != -1) continue;
+    const int id = static_cast<int>(group_size.size());
+    group[i] = id;
+    group_size.push_back(1);
+    for (std::size_t j = i + 1; j < n; ++j) {
+      if (group[j] == -1 && same(i, j)) {
+        group[j] = id;
+        ++group_size[id];
+      }
+    }
+  }
+  result.agree = result.largest = n;
+  if (group_size.size() <= 1) return result;  // unanimous
+  result.unanimous = false;
+  result.split = static_cast<std::size_t>(
+      std::find_if(group.begin(), group.end(), [](int g) { return g != 0; }) -
+      group.begin());
+
+  const auto largest = std::max_element(group_size.begin(), group_size.end());
+  result.largest = *largest;
+  int reference = static_cast<int>(largest - group_size.begin());
+  if (oracle.has_value() && *oracle < n) {
+    reference = group[*oracle];
+  } else if (std::count(group_size.begin(), group_size.end(), *largest) > 1) {
+    result.tie = true;
+    result.agree = 0;
+    return result;
+  }
+  result.agree = group_size[reference];
+  result.oracle_overruled_majority = result.agree < result.largest;
+  for (std::size_t i = 0; i < n; ++i) {
+    if (group[i] != reference) result.minority.push_back(i);
+    group[i] = group[i] == reference ? 0 : group[i] + 1;
+  }
+  return result;
+}
+
+VoteResult Vote(const Operation& op, const std::vector<OpOutcome>& outcomes,
+                const CheckerOptions& options,
+                std::optional<std::size_t> oracle) {
+  VoteResult result = Elect(
+      outcomes.size(),
+      [&](std::size_t i, std::size_t j) {
+        return CompareOutcomes(op, outcomes[i], outcomes[j], options).ok;
+      },
+      oracle);
+  if (result.unanimous) return result;
+  if (result.tie) {
+    result.detail =
+        CompareOutcomes(op, outcomes[0], outcomes[result.split], options)
+            .detail;
+    return result;
+  }
+  const std::size_t n = outcomes.size();
+  std::ostringstream detail;
+  if (result.oracle_overruled_majority) {
+    detail << op.ToString() << ": spec says majority is wrong (oracle "
+           << result.agree << "/" << n << " vs majority " << result.largest
+           << "/" << n << "); implicated:";
+  } else {
+    detail << op.ToString() << ": " << result.agree << "/" << n
+           << " agree; outvoted:";
+  }
+  for (std::size_t i : result.minority) {
+    detail << " #" << i << "(" << ErrnoName(outcomes[i].error) << ")";
+  }
+  result.detail = detail.str();
+  return result;
+}
+
 }  // namespace mcfs::core

@@ -16,8 +16,14 @@
 //     they are implementation detail.
 // Each workaround can be disabled to measure how many false positives it
 // suppresses (bench T-fp).
+//
+// With more than two members the checks become a vote (paper §7): members
+// with identical outcomes (or abstract states) form groups, and the members
+// outside the reference group are the suspects.
 #pragma once
 
+#include <functional>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -47,5 +53,45 @@ CheckVerdict CompareOutcomes(const Operation& op, const OpOutcome& a,
 // Attribute comparison honoring the workarounds (exposed for tests).
 CheckVerdict CompareAttrs(const fs::InodeAttr& a, const fs::InodeAttr& b,
                           const CheckerOptions& options);
+
+// Per-member verdict after a vote.
+struct VoteResult {
+  bool unanimous = true;
+  // Index of each member's group. The reference group is 0; on a tie
+  // groups keep first-appearance order.
+  std::vector<int> group_of;
+  // Members outside the reference group (the suspects). Empty on a tie.
+  std::vector<std::size_t> minority;
+  // No oracle and no single largest group: still a disagreement, but
+  // nobody is convicted. A 2-member split without an oracle is a tie.
+  bool tie = false;
+  // First member outside member 0's group (0 when unanimous); a tie is
+  // reported as members 0 and `split` disagreeing.
+  std::size_t split = 0;
+  // Sizes of the reference group and of the largest group.
+  std::size_t agree = 0;
+  std::size_t largest = 0;
+  // Oracle mode only: the oracle's group was strictly smaller than the
+  // largest group — relative voting would have blamed the oracle,
+  // absolute checking blames the implementations instead.
+  bool oracle_overruled_majority = false;
+  std::string detail;
+};
+
+// Groups `n` members by `same` (each member joins the first group whose
+// first member it matches) and elects the reference group: the oracle's
+// when `oracle` names a member — absolute correctness is not a
+// popularity contest — otherwise the single largest group. Leaves
+// `detail` empty.
+VoteResult Elect(std::size_t n,
+                 const std::function<bool(std::size_t, std::size_t)>& same,
+                 std::optional<std::size_t> oracle);
+
+// Votes on one operation's outcomes, grouped by CompareOutcomes. The
+// detail names the outvoted members by index; on a tie it is
+// CompareOutcomes' detail for members 0 and `split`.
+VoteResult Vote(const Operation& op, const std::vector<OpOutcome>& outcomes,
+                const CheckerOptions& options,
+                std::optional<std::size_t> oracle = std::nullopt);
 
 }  // namespace mcfs::core

@@ -38,8 +38,9 @@
 namespace mcfs::core {
 
 // kSpec is the executable POSIX specification (src/spec/spec_fs.h): no
-// device, no FUSE/NFS transport, no crash mode — plugged into the N-way
-// engine as the absolute oracle member.
+// device, no FUSE/NFS transport, no crash mode — an engine member like
+// any other, or the absolute oracle of a panel (EngineOptions::
+// oracle_index).
 enum class FsKind { kExt2, kExt4, kXfs, kJffs2, kVerifs1, kVerifs2, kSpec };
 enum class Backend { kRam, kHdd, kSsd };  // kernel FSes only (jffs2 = MTD)
 // kVfsApi is the paper's §7 future-work strategy: the kernel file system

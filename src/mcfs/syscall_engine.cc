@@ -1,6 +1,7 @@
 #include "mcfs/syscall_engine.h"
 
 #include <algorithm>
+#include <sstream>
 #include <unordered_map>
 
 #include "fs/path.h"
@@ -10,30 +11,42 @@ namespace mcfs::core {
 
 namespace {
 
-// Intersection of the two feature sets.
-std::vector<fs::FsFeature> CommonFeatures(FsUnderTest& a, FsUnderTest& b) {
-  const auto fa = a.SupportedFeatures();
-  const auto fb = b.SupportedFeatures();
-  std::vector<fs::FsFeature> common;
-  for (fs::FsFeature f : fa) {
-    if (std::find(fb.begin(), fb.end(), f) != fb.end()) common.push_back(f);
+// Features supported by EVERY member.
+std::vector<fs::FsFeature> CommonFeatures(
+    const std::vector<FsUnderTest*>& members) {
+  std::vector<fs::FsFeature> common = members.front()->SupportedFeatures();
+  for (std::size_t i = 1; i < members.size(); ++i) {
+    const auto features = members[i]->SupportedFeatures();
+    std::erase_if(common, [&features](fs::FsFeature f) {
+      return std::find(features.begin(), features.end(), f) == features.end();
+    });
   }
   return common;
 }
 
 }  // namespace
 
-SyscallEngine::SyscallEngine(FsUnderTest& fs_a, FsUnderTest& fs_b,
+SyscallEngine::SyscallEngine(std::vector<FsUnderTest*> members,
                              EngineOptions options)
-    : fs_a_(fs_a), fs_b_(fs_b), options_(std::move(options)) {
+    : members_(std::move(members)),
+      options_(std::move(options)),
+      suspicion_(members_.size(), 0),
+      oracle_disagreements_(members_.size(), 0),
+      inc_(members_.size()),
+      crash_(members_.size()) {
+  if (options_.oracle_index.has_value() &&
+      *options_.oracle_index >= members_.size()) {
+    options_.oracle_index.reset();
+  }
   // Extend the exception lists with FS-created special paths (§3.4) and
   // the free-space fill file.
   auto add_special = [this](const std::string& path) {
     options_.abstraction.exception_list.push_back(path);
     options_.checker.special_names.push_back(fs::Basename(path));
   };
-  for (const auto& path : fs_a_.SpecialPaths()) add_special(path);
-  for (const auto& path : fs_b_.SpecialPaths()) add_special(path);
+  for (FsUnderTest* fut : members_) {
+    for (const auto& path : fut->SpecialPaths()) add_special(path);
+  }
   add_special(kFillFilePath);
   options_.abstraction.ignore_directory_sizes =
       options_.checker.ignore_directory_sizes;
@@ -41,34 +54,34 @@ SyscallEngine::SyscallEngine(FsUnderTest& fs_a, FsUnderTest& fs_b,
   // The incremental cache assumes restores reproduce the saved logical
   // state; kMountOnce breaks that on purpose (§3.2), so it always runs
   // the full walk — that is how its corruption gets observed.
-  incremental_ =
-      options_.abstraction.incremental &&
-      fs_a_.config().strategy != StateStrategy::kMountOnce &&
-      fs_b_.config().strategy != StateStrategy::kMountOnce;
+  incremental_ = options_.abstraction.incremental &&
+                 std::none_of(members_.begin(), members_.end(),
+                              [](const FsUnderTest* fut) {
+                                return fut->config().strategy ==
+                                       StateStrategy::kMountOnce;
+                              });
 
-  actions_ = options_.pool.EnumerateAll(CommonFeatures(fs_a_, fs_b_));
+  actions_ = options_.pool.EnumerateAll(CommonFeatures(members_));
   ComputeStaticFootprints();
 
-  // Crash-exploration checkers, one per side with a recording device.
+  // Crash-exploration checkers, one per member with a recording device.
   // The oracle ignores the same noise paths the abstraction does.
   if (options_.crash.enabled) {
-    auto build = [this](FsUnderTest& fut) {
-      if (fut.crash_disk() == nullptr) return;
-      CrashCheckOptions side = options_.crash;
+    for (std::size_t i = 0; i < members_.size(); ++i) {
+      FsUnderTest& fut = *members_[i];
+      if (fut.crash_disk() == nullptr) continue;
+      CrashCheckOptions member = options_.crash;
       for (const auto& path : fut.SpecialPaths()) {
-        side.oracle.exempt_paths.push_back(path);
+        member.oracle.exempt_paths.push_back(path);
       }
-      side.oracle.exempt_paths.push_back(std::string(kFillFilePath));
-      auto checker = std::make_unique<CrashConsistencyChecker>(
-          &fut, std::move(side));
-      if (Status s = checker->SeedInitial();
+      member.oracle.exempt_paths.push_back(std::string(kFillFilePath));
+      crash_[i] =
+          std::make_unique<CrashConsistencyChecker>(&fut, std::move(member));
+      if (Status s = crash_[i]->SeedInitial();
           !s.ok() && crash_seed_status_.ok()) {
         crash_seed_status_ = s;
       }
-      (&fut == &fs_a_ ? crash_a_ : crash_b_) = std::move(checker);
-    };
-    build(fs_a_);
-    build(fs_b_);
+    }
   }
 }
 
@@ -168,56 +181,75 @@ void SyscallEngine::ComputeStaticFootprints() {
   }
 }
 
-Result<Md5Digest> SyscallEngine::SideDigest(FsUnderTest& fut,
-                                            IncrementalAbstraction& inc,
-                                            const TouchedPathSet* touched) {
+Result<Md5Digest> SyscallEngine::MemberDigest(std::size_t i,
+                                              const TouchedPathSet* touched) {
+  vfs::Vfs& vfs = members_[i]->vfs();
   if (!incremental_) {
     ++counters_.abstraction_full_recomputes;
-    return ComputeAbstractState(fut.vfs(), options_.abstraction);
+    return ComputeAbstractState(vfs, options_.abstraction);
   }
   return touched != nullptr
-             ? inc.Refresh(fut.vfs(), options_.abstraction, *touched)
-             : inc.Current(fut.vfs(), options_.abstraction);
+             ? inc_[i].Refresh(vfs, options_.abstraction, *touched)
+             : inc_[i].Current(vfs, options_.abstraction);
 }
 
 void SyscallEngine::SyncAbstractionCounters() {
   if (!incremental_) return;
-  counters_.abstraction_full_recomputes =
-      inc_a_.full_recomputes() + inc_b_.full_recomputes();
-  counters_.abstraction_incremental_refreshes =
-      inc_a_.incremental_refreshes() + inc_b_.incremental_refreshes();
-  counters_.abstraction_nodes_rehashed =
-      inc_a_.nodes_rehashed() + inc_b_.nodes_rehashed();
+  counters_.abstraction_full_recomputes = 0;
+  counters_.abstraction_incremental_refreshes = 0;
+  counters_.abstraction_nodes_rehashed = 0;
+  for (const IncrementalAbstraction& inc : inc_) {
+    counters_.abstraction_full_recomputes += inc.full_recomputes();
+    counters_.abstraction_incremental_refreshes +=
+        inc.incremental_refreshes();
+    counters_.abstraction_nodes_rehashed += inc.nodes_rehashed();
+  }
 }
 
-Status SyscallEngine::RefreshAbstractState(bool check_equality,
-                                           const TouchedPathSet* touched_a,
-                                           const TouchedPathSet* touched_b) {
+std::string SyscallEngine::Convict(const VoteResult& vote) {
+  std::string names;
+  for (std::size_t i : vote.minority) {
+    ++suspicion_[i];
+    if (options_.oracle_index.has_value()) ++oracle_disagreements_[i];
+    names += " " + fs_name(i);
+  }
+  return names;
+}
+
+Status SyscallEngine::RefreshAbstractState(
+    bool check_equality, const std::vector<TouchedPathSet>* touched) {
+  const std::size_t n = members_.size();
   // A valid incremental cache answers from memory with no walk at all —
   // in that case the file systems need not even be mounted (DFS restores
   // hit this constantly).
-  const bool from_cache = incremental_ && touched_a == nullptr &&
-                          touched_b == nullptr && inc_a_.valid() &&
-                          inc_b_.valid();
+  const bool from_cache =
+      incremental_ && touched == nullptr &&
+      std::all_of(inc_.begin(), inc_.end(),
+                  [](const IncrementalAbstraction& c) { return c.valid(); });
   if (!from_cache) {
     // The walk needs mounted file systems; remount-per-op strategies may
     // have them unmounted at this point.
-    if (Status s = fs_a_.EnsureMounted(); !s.ok()) return s;
-    if (Status s = fs_b_.EnsureMounted(); !s.ok()) return s;
+    for (FsUnderTest* fut : members_) {
+      if (Status s = fut->EnsureMounted(); !s.ok()) return s;
+    }
   }
 
-  auto hash_a = SideDigest(fs_a_, inc_a_, touched_a);
-  auto hash_b = SideDigest(fs_b_, inc_b_, touched_b);
+  std::vector<Result<Md5Digest>> digests;
+  digests.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    digests.push_back(
+        MemberDigest(i, touched != nullptr ? &(*touched)[i] : nullptr));
+  }
   SyncAbstractionCounters();
-  if (!hash_a.ok() || !hash_b.ok()) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (digests[i].ok()) continue;
     // The walk itself failed: a §3.2-style corrupted file system (e.g.
     // dangling dcache entries after an unsynchronized restore).
     ++counters_.corruption_events;
-    violation_ = std::string("file system corruption detected: "
-                             "abstraction walk failed on ") +
-                 (!hash_a.ok() ? fs_a_.name() : fs_b_.name()) + " with " +
-                 std::string(ErrnoName(!hash_a.ok() ? hash_a.error()
-                                                    : hash_b.error()));
+    violation_ = "file system corruption detected: abstraction walk failed "
+                 "on " +
+                 fs_name(i) + " with " +
+                 std::string(ErrnoName(digests[i].error()));
     return Status::Ok();  // reported as violation, not infrastructure error
   }
 
@@ -225,39 +257,59 @@ Status SyscallEngine::RefreshAbstractState(bool check_equality,
   // with its own from-scratch recompute is an infrastructure bug in the
   // cache, not a file-system discrepancy — surface it loudly.
   if (incremental_) {
-    for (const auto* inc : {&inc_a_, &inc_b_}) {
-      if (inc->divergence().has_value()) {
+    for (std::size_t i = 0; i < n; ++i) {
+      if (inc_[i].divergence().has_value()) {
         ++counters_.corruption_events;
-        violation_ = "incremental abstraction divergence on " +
-                     (inc == &inc_a_ ? fs_a_.name() : fs_b_.name()) + ": " +
-                     *inc->divergence();
+        violation_ = "incremental abstraction divergence on " + fs_name(i) +
+                     ": " + *inc_[i].divergence();
         return Status::Ok();
       }
     }
   }
 
-  if (check_equality && options_.compare_states &&
-      hash_a.value() != hash_b.value()) {
-    ++counters_.discrepancies;
-    violation_ = "state divergence: abstract states differ (" +
-                 fs_a_.name() + "=" + hash_a.value().ToHex() + ", " +
-                 fs_b_.name() + "=" + hash_b.value().ToHex() + ")";
+  if (check_equality && options_.compare_states) {
+    const VoteResult vote = Elect(
+        n,
+        [&digests](std::size_t i, std::size_t j) {
+          return digests[i].value() == digests[j].value();
+        },
+        options_.oracle_index);
+    if (!vote.unanimous) {
+      ++counters_.discrepancies;
+      std::ostringstream detail;
+      if (vote.tie) {
+        const std::size_t j = vote.split;
+        detail << "state divergence: abstract states differ (" << fs_name(0)
+               << "=" << digests[0].value().ToHex() << ", " << fs_name(j)
+               << "=" << digests[j].value().ToHex() << ")";
+      } else if (vote.oracle_overruled_majority) {
+        detail << "state divergence — spec says majority is wrong (oracle "
+               << vote.agree << "/" << n << " vs majority " << vote.largest
+               << "/" << n << "); deviating:" << Convict(vote);
+      } else {
+        detail << "state divergence ("
+               << (options_.oracle_index ? "oracle " : "majority ")
+               << vote.agree << "/" << n << "); deviating:" << Convict(vote);
+      }
+      violation_ = detail.str();
+    }
   }
 
-  // Combined digest = hash(A || B): the visited-state identity of the
-  // *pair*, which is what exploration dedupes on.
+  // Combined digest = hash of the member digests in order: the
+  // visited-state identity of the whole panel, which is what exploration
+  // dedupes on.
   Md5 combined;
-  combined.Update(ByteView(hash_a.value().bytes.data(), 16));
-  combined.Update(ByteView(hash_b.value().bytes.data(), 16));
+  for (const Result<Md5Digest>& digest : digests) {
+    combined.Update(ByteView(digest.value().bytes.data(), 16));
+  }
   // Crash mode: two logically identical states with different in-flight
   // write sets reach different crash states, so the journals join the
   // visited identity — otherwise dedup would skip schedules whose only
   // difference is what a crash can tear.
-  if (crash_a_ != nullptr && fs_a_.crash_disk() != nullptr) {
-    combined.UpdateU64(fs_a_.crash_disk()->StateDigest());
-  }
-  if (crash_b_ != nullptr && fs_b_.crash_disk() != nullptr) {
-    combined.UpdateU64(fs_b_.crash_disk()->StateDigest());
+  for (std::size_t i = 0; i < n; ++i) {
+    if (crash_[i] != nullptr && members_[i]->crash_disk() != nullptr) {
+      combined.UpdateU64(members_[i]->crash_disk()->StateDigest());
+    }
   }
   cached_hash_ = combined.Final();
   return Status::Ok();
@@ -266,103 +318,105 @@ Status SyscallEngine::RefreshAbstractState(bool check_equality,
 Status SyscallEngine::ApplyAction(std::size_t action) {
   if (action >= actions_.size()) return Errno::kEINVAL;
   const Operation& op = actions_[action];
+  const std::size_t n = members_.size();
   violation_.reset();
   cached_hash_.reset();
 
-  if (Status s = fs_a_.BeginOp(); !s.ok()) {
-    ++counters_.corruption_events;
-    violation_ = "remount failed on " + fs_a_.name() + ": " +
-                 std::string(ErrnoName(s.error()));
-    return Status::Ok();
-  }
-  if (Status s = fs_b_.BeginOp(); !s.ok()) {
-    ++counters_.corruption_events;
-    inc_a_.Invalidate();  // BeginOp on A may have remounted after the op
-    violation_ = "remount failed on " + fs_b_.name() + ": " +
-                 std::string(ErrnoName(s.error()));
-    return Status::Ok();
+  for (std::size_t i = 0; i < n; ++i) {
+    if (Status s = members_[i]->BeginOp(); !s.ok()) {
+      ++counters_.corruption_events;
+      // BeginOp on earlier members may have remounted after the op.
+      for (std::size_t j = 0; j < i; ++j) inc_[j].Invalidate();
+      violation_ = "remount failed on " + fs_name(i) + ": " +
+                   std::string(ErrnoName(s.error()));
+      return Status::Ok();
+    }
   }
 
-  const OpOutcome outcome_a = ExecuteOp(fs_a_.vfs(), op);
-  const OpOutcome outcome_b = ExecuteOp(fs_b_.vfs(), op);
+  std::vector<OpOutcome> outcomes;
+  outcomes.reserve(n);
+  for (FsUnderTest* fut : members_) {
+    outcomes.push_back(ExecuteOp(fut->vfs(), op));
+  }
   ++counters_.ops_executed;
-  coverage_.Record(op.kind, outcome_a.error);
-  coverage_.Record(op.kind, outcome_b.error);
+  for (const OpOutcome& outcome : outcomes) {
+    coverage_.Record(op.kind, outcome.error);
+  }
 
-  const CheckVerdict verdict =
-      CompareOutcomes(op, outcome_a, outcome_b, options_.checker);
-  if (!verdict.ok) {
+  const VoteResult vote =
+      Vote(op, outcomes, options_.checker, options_.oracle_index);
+  if (!vote.unanimous) {
     ++counters_.discrepancies;
-    violation_ = verdict.detail + " (" + fs_a_.name() + " vs " +
-                 fs_b_.name() + ")";
+    violation_ = vote.tie ? vote.detail + " (" + fs_name(0) + " vs " +
+                                fs_name(vote.split) + ")"
+                          : vote.detail + " — suspects:" + Convict(vote);
   }
 
   // Full-state integrity check + abstract hash for visited matching.
   if (!violation_.has_value()) {
-    const TouchedPathSet touched_a = TouchedPaths(op, outcome_a);
-    const TouchedPathSet touched_b = TouchedPaths(op, outcome_b);
-    if (Status s = RefreshAbstractState(/*check_equality=*/true, &touched_a,
-                                        &touched_b);
+    std::vector<TouchedPathSet> touched;
+    touched.reserve(n);
+    for (const OpOutcome& outcome : outcomes) {
+      touched.push_back(TouchedPaths(op, outcome));
+    }
+    if (Status s = RefreshAbstractState(/*check_equality=*/true, &touched);
         !s.ok()) {
       return s;
     }
     // Feed the persistence oracles while the file systems are mounted.
     if (!violation_.has_value()) {
-      if (crash_a_ != nullptr) {
-        if (Status s = crash_a_->ObserveOp(op, outcome_a); !s.ok()) return s;
-      }
-      if (crash_b_ != nullptr) {
-        if (Status s = crash_b_->ObserveOp(op, outcome_b); !s.ok()) return s;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (crash_[i] == nullptr) continue;
+        if (Status s = crash_[i]->ObserveOp(op, outcomes[i]); !s.ok()) {
+          return s;
+        }
       }
     }
   } else {
     // The operation ran but its effects were never folded into the
     // caches; if exploration continues past this violation
     // (ClearViolation), the next digest must come from a fresh walk.
-    inc_a_.Invalidate();
-    inc_b_.Invalidate();
+    for (IncrementalAbstraction& inc : inc_) inc.Invalidate();
   }
 
-  trace_.Append(op, outcome_a, outcome_b, violation_.has_value());
+  trace_.Append(op, outcomes[0], outcomes[1], violation_.has_value());
   trace_.TrimToLast(options_.trace_cap);
 
-  if (Status s = fs_a_.EndOp(); !s.ok()) return s;
-  if (Status s = fs_b_.EndOp(); !s.ok()) return s;
+  for (FsUnderTest* fut : members_) {
+    if (Status s = fut->EndOp(); !s.ok()) return s;
+  }
   return Status::Ok();
 }
 
 Md5Digest SyscallEngine::AbstractHash() {
   if (!cached_hash_.has_value()) {
     if (Status s = RefreshAbstractState(/*check_equality=*/false,
-                                        /*touched_a=*/nullptr,
-                                        /*touched_b=*/nullptr);
+                                        /*touched=*/nullptr);
         !s.ok() || !cached_hash_.has_value()) {
       // Infrastructure failure: return a sentinel digest; the explorer
       // will already have surfaced the violation.
       return Md5Digest{};
     }
-    (void)fs_a_.EndOp();
-    (void)fs_b_.EndOp();
+    for (FsUnderTest* fut : members_) (void)fut->EndOp();
   }
   return *cached_hash_;
 }
 
 Result<mc::SnapshotId> SyscallEngine::SaveConcrete() {
   const mc::SnapshotId id = next_snapshot_++;
-  if (Status s = fs_a_.SaveState(id); !s.ok()) return s.error();
-  if (Status s = fs_b_.SaveState(id); !s.ok()) {
-    (void)fs_a_.DiscardState(id);
-    return s.error();
+  for (std::size_t i = 0; i < members_.size(); ++i) {
+    if (Status s = members_[i]->SaveState(id); !s.ok()) {
+      for (std::size_t j = 0; j < i; ++j) (void)members_[j]->DiscardState(id);
+      return s.error();
+    }
   }
   if (incremental_) {
     // Epoch-tag the digest caches alongside the concrete snapshots so a
     // restore rolls them back instead of dropping them.
-    inc_a_.SaveEpoch(id);
-    inc_b_.SaveEpoch(id);
+    for (IncrementalAbstraction& inc : inc_) inc.SaveEpoch(id);
   }
   // The oracle's history must rewind with the tree it describes.
-  if (crash_a_ != nullptr) crash_a_->Save(id);
-  if (crash_b_ != nullptr) crash_b_->Save(id);
+  CrashSaveState(id);
   // Log the snapshot into the trace: with save/restore recorded, the raw
   // trace is a faithful linear history and stays replayable across
   // backtracks (see Trace::Replay's ReplayPair overload).
@@ -379,17 +433,12 @@ Status SyscallEngine::RestoreConcrete(mc::SnapshotId id) {
   if (incremental_) {
     // A miss (epoch unknown, or saved while invalid) invalidates, which
     // degrades to one full recompute — never to a stale digest.
-    (void)inc_a_.RestoreEpoch(id);
-    (void)inc_b_.RestoreEpoch(id);
+    for (IncrementalAbstraction& inc : inc_) (void)inc.RestoreEpoch(id);
   }
-  if (Status s = fs_a_.RestoreState(id); !s.ok()) return s;
-  if (Status s = fs_b_.RestoreState(id); !s.ok()) return s;
-  if (crash_a_ != nullptr) {
-    if (Status s = crash_a_->Restore(id); !s.ok()) return s;
+  for (FsUnderTest* fut : members_) {
+    if (Status s = fut->RestoreState(id); !s.ok()) return s;
   }
-  if (crash_b_ != nullptr) {
-    if (Status s = crash_b_->Restore(id); !s.ok()) return s;
-  }
+  if (Status s = CrashRestoreState(id); !s.ok()) return s;
   Operation op{.kind = OpKind::kRestore, .offset = id};
   trace_.Append(op, OpOutcome{}, OpOutcome{}, /*violation=*/false);
   trace_.TrimToLast(options_.trace_cap);
@@ -397,36 +446,51 @@ Status SyscallEngine::RestoreConcrete(mc::SnapshotId id) {
 }
 
 Status SyscallEngine::DiscardConcrete(mc::SnapshotId id) {
-  inc_a_.DiscardEpoch(id);
-  inc_b_.DiscardEpoch(id);
-  if (crash_a_ != nullptr) crash_a_->Discard(id);
-  if (crash_b_ != nullptr) crash_b_->Discard(id);
-  if (Status s = fs_a_.DiscardState(id); !s.ok()) return s;
-  Status s = fs_b_.DiscardState(id);
+  for (IncrementalAbstraction& inc : inc_) inc.DiscardEpoch(id);
+  CrashDiscardState(id);
+  // Every member releases its snapshot even if an earlier one failed.
+  Status first = Status::Ok();
+  for (FsUnderTest* fut : members_) {
+    if (Status s = fut->DiscardState(id); !s.ok() && first.ok()) first = s;
+  }
   SampleSnapshotStats();
-  return s;
+  return first;
 }
 
 std::uint64_t SyscallEngine::ConcreteStateBytes() const {
-  return fs_a_.StateBytes() + fs_b_.StateBytes();
+  std::uint64_t total = 0;
+  for (const FsUnderTest* fut : members_) total += fut->StateBytes();
+  return total;
 }
 
 void SyscallEngine::SampleSnapshotStats() {
-  const fs::SnapshotStats a = fs_a_.StateStats();
-  const fs::SnapshotStats b = fs_b_.StateStats();
-  counters_.snapshots_live = a.count + b.count;
+  fs::SnapshotStats sum;
+  for (const FsUnderTest* fut : members_) {
+    const fs::SnapshotStats s = fut->StateStats();
+    sum.count += s.count;
+    sum.total_bytes += s.total_bytes;
+    sum.shared_bytes += s.shared_bytes;
+    sum.exclusive_bytes += s.exclusive_bytes;
+  }
+  counters_.snapshots_live = sum.count;
   counters_.snapshots_peak =
       std::max(counters_.snapshots_peak, counters_.snapshots_live);
-  counters_.snapshot_total_bytes = a.total_bytes + b.total_bytes;
-  counters_.snapshot_shared_bytes = a.shared_bytes + b.shared_bytes;
-  counters_.snapshot_exclusive_bytes = a.exclusive_bytes + b.exclusive_bytes;
+  counters_.snapshot_total_bytes = sum.total_bytes;
+  counters_.snapshot_shared_bytes = sum.shared_bytes;
+  counters_.snapshot_exclusive_bytes = sum.exclusive_bytes;
+}
+
+bool SyscallEngine::crash_enabled() const {
+  return std::any_of(crash_.begin(), crash_.end(),
+                     [](const auto& checker) { return checker != nullptr; });
 }
 
 Status SyscallEngine::CrashCheck() {
   if (!crash_enabled()) return Status::Ok();
   if (!crash_seed_status_.ok()) return crash_seed_status_;
   ++counters_.crash_checks;
-  for (CrashConsistencyChecker* checker : {crash_a_.get(), crash_b_.get()}) {
+  std::uint64_t states = 0;
+  for (const auto& checker : crash_) {
     if (checker == nullptr) continue;
     Result<std::string> r = checker->Check();
     if (!r.ok()) return r.error();
@@ -434,10 +498,9 @@ Status SyscallEngine::CrashCheck() {
       ++counters_.discrepancies;
       violation_ = r.value();
     }
+    states += checker->states_checked();
   }
-  counters_.crash_states_checked =
-      (crash_a_ != nullptr ? crash_a_->states_checked() : 0) +
-      (crash_b_ != nullptr ? crash_b_->states_checked() : 0);
+  counters_.crash_states_checked = states;
   return Status::Ok();
 }
 
@@ -448,12 +511,12 @@ void SyscallEngine::CrashObserveOp(const Operation& op,
   // into a verdict — a replay must never count an infrastructure error
   // as a reproduction, and a genuinely broken tree still surfaces
   // through the recovered-state validation in CrashCheckDetail.
-  if (crash_a_ != nullptr) (void)crash_a_->ObserveOp(op, outcome_a);
-  if (crash_b_ != nullptr) (void)crash_b_->ObserveOp(op, outcome_b);
+  if (crash_[0] != nullptr) (void)crash_[0]->ObserveOp(op, outcome_a);
+  if (crash_[1] != nullptr) (void)crash_[1]->ObserveOp(op, outcome_b);
 }
 
 std::string SyscallEngine::CrashCheckDetail() {
-  for (CrashConsistencyChecker* checker : {crash_a_.get(), crash_b_.get()}) {
+  for (const auto& checker : crash_) {
     if (checker == nullptr) continue;
     Result<std::string> r = checker->Check();
     if (r.ok() && !r.value().empty()) return r.value();
@@ -462,23 +525,23 @@ std::string SyscallEngine::CrashCheckDetail() {
 }
 
 void SyscallEngine::CrashSaveState(std::uint64_t key) {
-  if (crash_a_ != nullptr) crash_a_->Save(key);
-  if (crash_b_ != nullptr) crash_b_->Save(key);
+  for (const auto& checker : crash_) {
+    if (checker != nullptr) checker->Save(key);
+  }
 }
 
 Status SyscallEngine::CrashRestoreState(std::uint64_t key) {
-  if (crash_a_ != nullptr) {
-    if (Status s = crash_a_->Restore(key); !s.ok()) return s;
-  }
-  if (crash_b_ != nullptr) {
-    if (Status s = crash_b_->Restore(key); !s.ok()) return s;
+  for (const auto& checker : crash_) {
+    if (checker == nullptr) continue;
+    if (Status s = checker->Restore(key); !s.ok()) return s;
   }
   return Status::Ok();
 }
 
 void SyscallEngine::CrashDiscardState(std::uint64_t key) {
-  if (crash_a_ != nullptr) crash_a_->Discard(key);
-  if (crash_b_ != nullptr) crash_b_->Discard(key);
+  for (const auto& checker : crash_) {
+    if (checker != nullptr) checker->Discard(key);
+  }
 }
 
 }  // namespace mcfs::core

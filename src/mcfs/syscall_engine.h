@@ -1,14 +1,22 @@
 // The file-system syscall engine: the Promela do..od loop of the paper's
-// prototype (§4), realized as a mc::System over a pair of file systems.
+// prototype (§4), realized as a mc::System over N >= 2 file systems.
 //
 // Each action issues one (meta-)operation with pool-drawn parameters to
-// BOTH file systems, runs the integrity checks, and computes the combined
+// EVERY member, runs the integrity checks, and computes the combined
 // abstract state. Concrete save/restore delegates to each FsUnderTest's
 // strategy (remount / ioctl / VM).
+//
+// A pair is just N = 2. With three or more members (a panel) the checks
+// become a majority vote — the paper's §7 future work: "We also plan to
+// run more than two file systems concurrently with MCFS and use a
+// majority-voting approach to recognize incorrect file-system behavior."
+// The vote names the minority members as suspects instead of only
+// reporting that two file systems disagree (see Vote in checker.h).
 #pragma once
 
 #include <memory>
 #include <optional>
+#include <vector>
 
 #include "mc/state.h"
 #include "mcfs/abstraction.h"
@@ -35,6 +43,13 @@ struct EngineOptions {
   // the FsUnderTests were built with crashable_device; the explorer
   // drives the actual checks via ExplorerOptions::crash_mode.
   CrashCheckOptions crash;
+  // Index of an oracle member (the executable POSIX spec, FsKind::kSpec).
+  // When set, votes are absolute rather than relative: the reference
+  // group is the oracle's group regardless of its size, suspicion accrues
+  // against every member that disagrees with the oracle — never against
+  // the oracle itself — and an outvoted oracle is reported as "spec says
+  // majority is wrong" instead of the spec accumulating suspicion.
+  std::optional<std::size_t> oracle_index;
 };
 
 struct EngineCounters {
@@ -43,20 +58,20 @@ struct EngineCounters {
   // Infrastructure-level anomalies (abstraction walk failed, remount
   // failed): the corrupted-file-system symptom of §3.2.
   std::uint64_t corruption_events = 0;
-  // Abstraction hot-path accounting, summed over both file systems. In
-  // full-recompute mode every refresh is two full walks; in incremental
-  // mode (AbstractionOptions::incremental) refreshes re-hash only the
-  // touched nodes and full recomputes stay rare (cache misses, fallback
-  // paths, paranoid cross-checks).
+  // Abstraction hot-path accounting, summed over all members. In
+  // full-recompute mode every refresh is one full walk per member; in
+  // incremental mode (AbstractionOptions::incremental) refreshes re-hash
+  // only the touched nodes and full recomputes stay rare (cache misses,
+  // fallback paths, paranoid cross-checks).
   std::uint64_t abstraction_full_recomputes = 0;
   std::uint64_t abstraction_incremental_refreshes = 0;
   std::uint64_t abstraction_nodes_rehashed = 0;
   // Crash-exploration accounting: CrashCheck() invocations and the total
-  // number of crash states mounted + validated across both sides.
+  // number of crash states mounted + validated across all members.
   std::uint64_t crash_checks = 0;
   std::uint64_t crash_states_checked = 0;
   // Snapshot-pool accounting, sampled after every concrete save/discard
-  // and summed over both file systems. Byte figures come from the
+  // and summed over all members. Byte figures come from the
   // structurally-shared pool walk (fs::SnapshotStats): shared = reachable
   // from more than one live snapshot, exclusive = unique to one. All zero
   // for strategies without a snapshot pool (remount, VM).
@@ -69,10 +84,11 @@ struct EngineCounters {
 
 class SyscallEngine final : public mc::System {
  public:
-  // Both FsUnderTest must outlive the engine. The exception lists are
-  // automatically extended with each file system's SpecialPaths() and the
-  // free-space fill file.
-  SyscallEngine(FsUnderTest& fs_a, FsUnderTest& fs_b, EngineOptions options);
+  // At least two members; all must outlive the engine. The exception
+  // lists are automatically extended with each member's SpecialPaths()
+  // and the free-space fill file. An out-of-range oracle_index is
+  // dropped (plain majority voting).
+  SyscallEngine(std::vector<FsUnderTest*> members, EngineOptions options);
 
   // mc::System.
   std::size_t ActionCount() const override { return actions_.size(); }
@@ -88,7 +104,7 @@ class SyscallEngine final : public mc::System {
   Status DiscardConcrete(mc::SnapshotId id) override;
   std::uint64_t ConcreteStateBytes() const override;
   // Crash-consistency check (ExplorerOptions::crash_mode): enumerate the
-  // crash states both sides' in-flight writes permit, remount each on a
+  // crash states each member's in-flight writes permit, remount each on a
   // recovery probe, validate against the persistence oracle. A contract
   // breach lands in violation_detected() like any other discrepancy.
   Status CrashCheck() override;
@@ -104,8 +120,10 @@ class SyscallEngine final : public mc::System {
   void ClearViolation() { violation_.reset(); }
 
   const EngineCounters& counters() const { return counters_; }
+  // Operations and snapshots in execution order; each record carries
+  // members 0 and 1 (trace replay and shrinking are two-member).
   const Trace& trace() const { return trace_; }
-  // Outcome coverage across both file systems (paper §7 future work).
+  // Outcome coverage across all members (paper §7 future work).
   const SyscallCoverage& coverage() const { return coverage_; }
   const std::vector<Operation>& actions() const { return actions_; }
   const EngineOptions& options() const { return options_; }
@@ -115,15 +133,31 @@ class SyscallEngine final : public mc::System {
   EngineOptions& mutable_options() { return options_; }
 
   // True when this engine runs the incremental abstraction (requested
-  // via options and both strategies restore coherently).
+  // via options and every member's strategy restores coherently).
   bool incremental_abstraction() const { return incremental_; }
+
+  std::size_t fs_count() const { return members_.size(); }
+  const std::string& fs_name(std::size_t index) const {
+    return members_[index]->name();
+  }
+  // Cumulative suspicion counters: how often each member landed outside
+  // the reference group. The buggy implementation accumulates suspicion;
+  // a tie convicts nobody. In oracle mode the oracle's own entry stays
+  // zero by construction.
+  const std::vector<std::uint64_t>& suspicion_counts() const {
+    return suspicion_;
+  }
+  // Oracle mode: how often each member disagreed with the oracle (outcome
+  // or abstract state). All zeros when no oracle is configured.
+  const std::vector<std::uint64_t>& oracle_disagreement_counts() const {
+    return oracle_disagreements_;
+  }
 
   // Crash-exploration hooks for trace replay (McfsReplayPair): replays
   // route each executed operation and the post-op crash check through
   // the same oracles the live search used. Inert when crash mode is off.
-  bool crash_enabled() const {
-    return crash_a_ != nullptr || crash_b_ != nullptr;
-  }
+  // Replays are two-member: CrashObserveOp feeds members 0 and 1.
+  bool crash_enabled() const;
   void CrashObserveOp(const Operation& op, const OpOutcome& outcome_a,
                       const OpOutcome& outcome_b);
   // "" = all crash states legal (or crash mode off / infra failure — a
@@ -134,28 +168,28 @@ class SyscallEngine final : public mc::System {
   void CrashDiscardState(std::uint64_t key);
 
  private:
-  // Computes each side's abstract state (mount-state aware) and caches
-  // the combined digest; flags a violation if the states differ. The
-  // touched sets carry the just-executed operation's dirty paths per
-  // file system; null means "no operation since the last refresh" (the
+  // Computes each member's abstract state (mount-state aware) and caches
+  // the combined digest; flags a violation if the states differ. `touched`
+  // carries the just-executed operation's dirty paths, one set per
+  // member; null means "no operation since the last refresh" (the
   // incremental caches then answer from memory when valid).
   Status RefreshAbstractState(bool check_equality,
-                              const TouchedPathSet* touched_a,
-                              const TouchedPathSet* touched_b);
-  // Per-side digest under the active abstraction mode.
-  Result<Md5Digest> SideDigest(FsUnderTest& fut, IncrementalAbstraction& inc,
-                               const TouchedPathSet* touched);
+                              const std::vector<TouchedPathSet>* touched);
+  // One member's digest under the active abstraction mode.
+  Result<Md5Digest> MemberDigest(std::size_t i, const TouchedPathSet* touched);
   void SyncAbstractionCounters();
-  // Refreshes the EngineCounters snapshot-pool fields from both sides'
-  // FsUnderTest::StateStats().
+  // Refreshes the EngineCounters snapshot-pool fields from every
+  // member's FsUnderTest::StateStats().
   void SampleSnapshotStats();
+  // Charges a non-tie vote's minority to the suspicion (and oracle)
+  // tallies and returns their names, each preceded by a space.
+  std::string Convict(const VoteResult& vote);
   // Fills footprints_ from StaticTouchedPaths over actions_, then
   // expands each path with its hard-link alias class so the dependence
   // relation stays sound when two pool paths can name one inode.
   void ComputeStaticFootprints();
 
-  FsUnderTest& fs_a_;
-  FsUnderTest& fs_b_;
+  std::vector<FsUnderTest*> members_;
   EngineOptions options_;
   std::vector<Operation> actions_;
   std::vector<mc::ActionFootprint> footprints_;
@@ -164,16 +198,16 @@ class SyscallEngine final : public mc::System {
   EngineCounters counters_;
   Trace trace_;
   SyscallCoverage coverage_;
+  std::vector<std::uint64_t> suspicion_;
+  std::vector<std::uint64_t> oracle_disagreements_;
   mc::SnapshotId next_snapshot_ = 1;
-  // Incremental abstraction state (one cache per file system, epoch-
-  // tagged against this engine's snapshot ids).
+  // Incremental abstraction state (one cache per member, epoch-tagged
+  // against this engine's snapshot ids).
   bool incremental_ = false;
-  IncrementalAbstraction inc_a_;
-  IncrementalAbstraction inc_b_;
-  // Crash-exploration state (null unless options_.crash.enabled and the
-  // corresponding FsUnderTest records into a CrashableDisk).
-  std::unique_ptr<CrashConsistencyChecker> crash_a_;
-  std::unique_ptr<CrashConsistencyChecker> crash_b_;
+  std::vector<IncrementalAbstraction> inc_;
+  // Crash-exploration state, one per member (null unless
+  // options_.crash.enabled and the member records into a CrashableDisk).
+  std::vector<std::unique_ptr<CrashConsistencyChecker>> crash_;
   Status crash_seed_status_ = Status::Ok();
 };
 

@@ -63,19 +63,6 @@ Result<Frame> FrontierService::Handle(const Frame& request,
       reply.payload = EncodeStealResponse(rsp);
       break;
     }
-    case FrameType::kFrontierStealWait: {
-      auto req = DecodeStealRequest(request.payload, /*with_timeout=*/true);
-      if (!req.ok()) return req.error();
-      const std::uint32_t wait_ms = std::min(req.value().timeout_ms, kMaxWaitMs);
-      auto round = frontier_->StealOrTerminateFor(
-          static_cast<int>(req.value().worker),
-          std::chrono::milliseconds(wait_ms), nullptr);
-      StealResponse rsp;
-      rsp.outcome = OutcomeByte(round.outcome);
-      rsp.entry = std::move(round.entry);
-      reply.payload = EncodeStealResponse(rsp);
-      break;
-    }
     case FrameType::kFrontierStarted: {
       frontier_->WorkerStarted();
       std::lock_guard<std::mutex> lock(mu_);
@@ -191,7 +178,7 @@ void FrontierService::PollParked() {
         }
         // Deadline passed: conclude the wait. CancelWait restores the
         // busy count — a kTimeout reply means "worker busy between
-        // rounds", exactly like the blocking path's verdict.
+        // rounds".
         frontier_->CancelWait(it->worker);
       }
       done.emplace_back(std::move(it->token),

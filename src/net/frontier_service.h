@@ -8,24 +8,21 @@
 //    keeps a per-connection balance and retires leaked counts in
 //    OnDisconnect, so a worker (or whole host) that dies mid-run cannot
 //    wedge the swarm's termination detection forever.
-//  * StealWait maps to SharedFrontier::StealOrTerminateFor with the
-//    requested timeout clamped to kMaxWaitMs: a remote worker's long
-//    wait becomes a sequence of short server-side waits (each kTimeout
-//    reply re-armed client-side), keeping every connection thread's
-//    blocking bounded. Between rounds the remote worker still counts
-//    busy, which can only delay — never falsify — the drained verdict.
+//  * StealWait (HandleAsync) is *deferred*, never blocking: BeginWait
+//    either answers immediately or parks the request's ReplyToken on a
+//    deadline list, the requested timeout clamped to kMaxWaitMs. Each
+//    reactor tick (and every Push / Retire / Stop, for latency)
+//    re-probes parked waits via PollWait; deadline expiry concludes
+//    with CancelWait + a kTimeout reply the client re-arms, so a remote
+//    worker's long wait becomes a sequence of short server-side waits.
+//    Between rounds the remote worker counts busy, which can only delay
+//    — never falsify — the drained verdict. A parked remote worker costs
+//    zero server threads while still counting idle for the whole parked
+//    duration — the property the termination protocol needs
+//    (instantaneous-probe polling would never observe all workers idle
+//    at once).
 //  * Every reply carries kFlagStopped/kFlagHungry so clients track the
 //    sticky stop and donation pressure without polling RPCs.
-// Under the reactor (HandleAsync), StealWait is *deferred* instead of
-// blocking: BeginWait either answers immediately or parks the request's
-// ReplyToken on a deadline list. Each reactor tick (and every Push /
-// Retire / Stop, for latency) re-probes parked waits via PollWait;
-// deadline expiry concludes with CancelWait + a kTimeout reply the
-// client re-arms, exactly like the blocking path's verdict. A parked
-// remote worker therefore costs zero server threads while still
-// counting idle for the whole parked duration — the property the
-// termination protocol needs (instantaneous-probe polling would never
-// observe all workers idle at once).
 #pragma once
 
 #include <chrono>
@@ -49,6 +46,7 @@ class FrontierService final : public FrameService {
       : frontier_(frontier) {}
 
   bool Handles(FrameType type) const override;
+  // Every request type but StealWait, which only HandleAsync serves.
   Result<Frame> Handle(const Frame& request, std::uint64_t conn_id) override;
   void HandleAsync(const Frame& request, std::uint64_t conn_id,
                    ReplyTokenPtr token) override;
@@ -70,7 +68,7 @@ class FrontierService final : public FrameService {
   };
 
   // Builds the StealWait reply frame; flags reflect frontier state at
-  // completion time, matching the blocking path.
+  // completion time, like every other reply.
   Frame MakeStealReply(mc::SharedFrontier::StealWaitResult round);
 
   // Re-probes every parked wait, completing those that concluded.

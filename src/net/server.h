@@ -1,8 +1,8 @@
 // FrameServer: accepts connections and dispatches decoded frames to
 // registered services.
 //
-// Threading model (DESIGN.md §7.9): the default is an epoll *reactor* —
-// one event loop thread (optionally N shards, connections round-robin)
+// Threading model (DESIGN.md §7.9): an epoll *reactor* — one event loop
+// thread (optionally N shards, connections round-robin)
 // owning every connection: non-blocking sockets, per-connection
 // incremental decode (FrameDecoder), and buffered writes with
 // backpressure. A service may answer a request immediately or *defer*
@@ -10,11 +10,6 @@
 // called later from any thread — that is how FrontierService parks a
 // StealWait on a timer instead of sleeping a per-connection thread, so
 // 64 parked remote workers cost zero threads instead of 64.
-//
-// The pre-reactor thread-per-connection model survives as
-// ServerOptions::Model::kThreadPerConn — the honest baseline the
-// connection-scaling bench compares against, and a fallback should a
-// platform lack epoll.
 //
 // Requests on one connection are handled strictly in arrival order and
 // answered in that order — even when an earlier request's reply is
@@ -31,10 +26,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "net/frame.h"
@@ -89,8 +81,8 @@ class FrameService {
   // (type must be request|kReplyBit; flags per the service's
   // protocol). An error Result becomes a kError reply. `conn_id`
   // identifies the connection for per-connection state; ids are never
-  // reused within one server. Used directly by the thread-per-conn
-  // model, and by the default HandleAsync adapter below.
+  // reused within one server. Used by the default HandleAsync adapter
+  // below.
   virtual Result<Frame> Handle(const Frame& request, std::uint64_t conn_id) = 0;
 
   // Reactor form: must eventually call token->Complete(...) — either
@@ -109,18 +101,11 @@ class FrameService {
 
   // Reactor heartbeat, called from each shard's loop roughly every
   // ServerOptions::tick_ms while the server runs. Services with parked
-  // deferred replies poll their timers here. Never called by the
-  // thread-per-conn model (which blocks in Handle instead).
+  // deferred replies poll their timers here.
   virtual void OnTick() {}
 };
 
 struct ServerOptions {
-  enum class Model {
-    kReactor,        // epoll event loop(s); deferred replies via tokens
-    kThreadPerConn,  // one thread per connection; Handle may block
-  };
-  Model model = Model::kReactor;
-
   // Reactor event-loop threads. Connections are assigned round-robin.
   // 1 shard serves tens of connections comfortably (the services'
   // shared structures are the scaling limit before the loop is).
@@ -165,10 +150,9 @@ class FrameServer {
     return accepted_.load(std::memory_order_relaxed);
   }
 
-  // Threads currently serving traffic: reactor shards, or (legacy
-  // model) accept thread + live connection threads. The ISSUE's
-  // acceptance criterion — 64 connections from <= 2 server threads —
-  // is asserted against this.
+  // Threads currently serving traffic: the reactor shards. The
+  // connection-scaling tests (64 connections from <= 2 server threads)
+  // assert against this.
   int serving_threads() const;
 
   const ServerOptions& options() const { return options_; }
@@ -176,31 +160,20 @@ class FrameServer {
  private:
   friend struct internal::ReactorShard;  // accept path + conn-id counter
 
-  // --- legacy thread-per-connection model --------------------------
-  void AcceptLoop();
-  void ServeConnection(Socket socket, std::uint64_t conn_id);
-
   std::vector<FrameService*> services_;
   const ServerOptions options_;
   Listener listener_;
   Endpoint endpoint_;
 
-  // Lifecycle flags. Atomic: running() and the accept/reactor loops
-  // read them from other threads than Stop()'s caller (this was a data
-  // race as plain bools; net_reactor_test pins the fix under TSan).
+  // Lifecycle flags. Atomic: running() reads them from other threads
+  // than Stop()'s caller (this was a data race as plain bools;
+  // net_reactor_test pins the fix under TSan).
   std::atomic<bool> running_{false};
   std::atomic<bool> stopping_{false};
   std::atomic<std::uint64_t> accepted_{0};
 
-  // Reactor state (Model::kReactor).
   std::vector<std::shared_ptr<internal::ReactorShard>> shards_;
-  std::thread accept_thread_;  // also the shard-0 loop in reactor mode
   std::atomic<std::uint64_t> next_conn_id_{1};
-
-  // Legacy state (Model::kThreadPerConn).
-  mutable std::mutex mu_;
-  std::map<std::uint64_t, int> live_fds_;
-  std::vector<std::thread> conn_threads_;
 };
 
 }  // namespace mcfs::net

@@ -29,8 +29,8 @@
 // in clarity and is still cheap. Restores notify the kernel cache
 // invalidation surface exactly like VeriFS — the §6 bug-#2 contract.
 //
-// Plugged into `NWaySyscallEngine` as the oracle member (see
-// `NWayOptions::oracle_index`), SpecFs turns MCFS's *relative* checking
+// Plugged into a `SyscallEngine` panel as the oracle member (see
+// `EngineOptions::oracle_index`), SpecFs turns MCFS's *relative* checking
 // into *absolute* checking: a bug ported to every real implementation
 // still disagrees with the spec.
 #pragma once

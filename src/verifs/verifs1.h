@@ -89,8 +89,7 @@ class Verifs1 : public fs::FileSystem, public fs::CheckpointableFs {
   std::string TypeName() const override { return "verifs1"; }
 
   // CheckpointableFs: first-class snapshot handles. Restore preserves
-  // the snapshot; the keyed Ioctl* shims from the base class keep the
-  // paper's consuming ioctl semantics on top of these.
+  // the snapshot.
   Result<fs::SnapshotId> Checkpoint() override;
   Status Restore(fs::SnapshotId id) override;
   Status Discard(fs::SnapshotId id) override;

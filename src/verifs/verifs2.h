@@ -85,8 +85,7 @@ class Verifs2 final : public fs::FileSystem, public fs::CheckpointableFs {
 
   std::string TypeName() const override { return "verifs2"; }
 
-  // CheckpointableFs: first-class snapshot handles; the keyed Ioctl*
-  // shims from the base class provide the paper's consuming semantics.
+  // CheckpointableFs: first-class snapshot handles (see Verifs1).
   Result<fs::SnapshotId> Checkpoint() override;
   Status Restore(fs::SnapshotId id) override;
   Status Discard(fs::SnapshotId id) override;

@@ -117,9 +117,10 @@ TEST(Bug2SkipInvalidation, NoNotificationsAreEmittedWhenBuggy) {
     v.SetNotifier(&recorder);
     ASSERT_TRUE(v.Mkfs().ok());
     ASSERT_TRUE(v.Mount().ok());
-    ASSERT_TRUE(v.IoctlCheckpoint(1).ok());
+    auto snap = v.Checkpoint();
+    ASSERT_TRUE(snap.ok());
     ASSERT_TRUE(v.Mkdir("/d", 0755).ok());
-    ASSERT_TRUE(v.IoctlRestore(1).ok());
+    ASSERT_TRUE(v.Restore(snap.value()).ok());
     if (buggy) {
       EXPECT_EQ(recorder.entries, 0);
       EXPECT_EQ(recorder.inodes, 0);

@@ -1,9 +1,8 @@
 // COW snapshot suite: the redesigned handle-based checkpoint API
 // (Checkpoint -> SnapshotId, non-consuming Restore, explicit Discard),
-// the shared/exclusive byte accounting, the keyed-ioctl compatibility
-// shims, the FUSE wire extension, and the differential proof that the
-// structurally-shared implementation is observationally identical to the
-// original copy-the-world snapshots.
+// the shared/exclusive byte accounting, the FUSE wire extension, and
+// the differential proof that the structurally-shared implementation is
+// observationally identical to the original copy-the-world snapshots.
 #include <gtest/gtest.h>
 
 #include <string>
@@ -210,45 +209,7 @@ TEST(CowStatsTest, Verifs2DiscardAllReturnsToBaseline) {
 }
 
 // ---------------------------------------------------------------------------
-// Keyed-ioctl compatibility shims (the paper's §5 consuming surface).
-
-TEST(CowCompatTest, KeyedShimsPreserveConsumingSemantics) {
-  Verifs2 v = MakeMounted<Verifs2>();
-  ASSERT_TRUE(v.Mkdir("/before", 0755).ok());
-  ASSERT_TRUE(v.IoctlCheckpoint(42).ok());
-  EXPECT_EQ(v.SnapshotCount(), 1u);
-
-  ASSERT_TRUE(v.Mkdir("/after", 0755).ok());
-  ASSERT_TRUE(v.IoctlRestore(42).ok());
-  EXPECT_TRUE(v.GetAttr("/before").ok());
-  EXPECT_EQ(v.GetAttr("/after").error(), Errno::kENOENT);
-  // The keyed restore consumed the entry, exactly as before the redesign.
-  EXPECT_EQ(v.SnapshotCount(), 0u);
-  EXPECT_EQ(v.IoctlRestore(42).error(), Errno::kENOENT);
-
-  // Re-checkpointing a live key replaces its snapshot.
-  ASSERT_TRUE(v.IoctlCheckpoint(7).ok());
-  ASSERT_TRUE(v.Mkdir("/second", 0755).ok());
-  ASSERT_TRUE(v.IoctlCheckpoint(7).ok());
-  EXPECT_EQ(v.SnapshotCount(), 1u);
-  ASSERT_TRUE(v.Rmdir("/before").ok());
-  ASSERT_TRUE(v.IoctlRestore(7).ok());
-  EXPECT_TRUE(v.GetAttr("/second").ok());
-  EXPECT_TRUE(v.GetAttr("/before").ok());
-}
-
-TEST(CowCompatTest, KeyedShimsKeepTheUnmountedErrnoContract) {
-  Verifs1 v;
-  ASSERT_TRUE(v.Mkfs().ok());
-  // Unmounted: kEINVAL (not kENOENT), byte-compatible with the legacy
-  // implementation that checked the mount before the key.
-  EXPECT_EQ(v.IoctlCheckpoint(1).error(), Errno::kEINVAL);
-  EXPECT_EQ(v.IoctlRestore(1).error(), Errno::kEINVAL);
-}
-
-// ---------------------------------------------------------------------------
-// FUSE wire: the handle surface crosses the channel; the keyed opcodes
-// stay wire-identical (fuse_test.cc covers those).
+// FUSE wire: the handle surface crosses the channel.
 
 struct FuseStack {
   std::unique_ptr<fuse::FuseChannel> channel;
@@ -455,7 +416,7 @@ TEST(CowEngineTest, CountersTrackLiveAndPeakSnapshots) {
   auto b = core::FsUnderTest::Create(cb, nullptr);
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  core::SyscallEngine engine(*a.value(), *b.value(), {});
+  core::SyscallEngine engine({a.value().get(), b.value().get()}, {});
 
   auto s1 = engine.SaveConcrete();
   ASSERT_TRUE(s1.ok());

@@ -1,10 +1,11 @@
 // The crash-exploration mode end to end: the differential proof (zero
-// violations across every enumerated crash state of a clean pair on a
-// closed workload) and the mutation proof (each crash mutant is killed
-// by the persistence oracle with a replay-verified, minimized
-// reproducer naming the crash point).
+// violations across every enumerated crash state of a clean pair, and of
+// a clean 3-member panel, on a closed workload) and the mutation proof
+// (each crash mutant is killed by the persistence oracle with a
+// replay-verified, minimized reproducer naming the crash point).
 #include <gtest/gtest.h>
 
+#include "mc/explorer.h"
 #include "mcfs/harness.h"
 
 namespace mcfs::core {
@@ -52,6 +53,40 @@ TEST(CrashExploreTest, CleanExt4PairHasNoCrashViolations) {
   McfsReport report = mcfs.value()->Run();
   EXPECT_FALSE(report.stats.violation_found) << report.stats.violation_report;
   EXPECT_GT(report.counters.crash_states_checked, 0u);
+}
+
+TEST(CrashExploreTest, CleanKernelPanelHasNoCrashViolations) {
+  // A panel gets the pair's crash mode: every member with a recording
+  // device is crash-checked after every op of a depth-2 closed ball.
+  const McfsConfig pair = CrashPairConfig(FsKind::kExt2, FsKind::kExt2);
+  std::vector<std::unique_ptr<FsUnderTest>> owned;
+  std::vector<FsUnderTest*> panel;
+  for (const FsKind kind : {FsKind::kExt2, FsKind::kExt4, FsKind::kJffs2}) {
+    FsUnderTestConfig config = pair.fs_a;
+    config.kind = kind;
+    config.crashable_device = true;
+    auto fut = FsUnderTest::Create(config, nullptr);
+    ASSERT_TRUE(fut.ok());
+    panel.push_back(fut.value().get());
+    owned.push_back(std::move(fut).value());
+  }
+  std::vector<vfs::Vfs*> vfses;
+  for (FsUnderTest* fut : panel) vfses.push_back(&fut->vfs());
+  ASSERT_TRUE(EqualizeFreeSpace(vfses).ok());
+
+  EngineOptions options = pair.engine;
+  options.crash.states.barrier_model = storage::BarrierModel::kOrdered;
+  SyscallEngine engine(panel, options);
+  mc::ExplorerOptions explore = pair.explore;
+  explore.max_depth = 2;
+  explore.max_operations = 100'000;
+  mc::Explorer explorer(engine, explore);
+  const mc::ExploreStats stats = explorer.Run();
+  EXPECT_FALSE(stats.violation_found) << stats.violation_report;
+  EXPECT_LT(stats.operations, explore.max_operations);  // the ball closed
+  EXPECT_GT(engine.counters().crash_checks, 0u);
+  EXPECT_GT(engine.counters().crash_states_checked,
+            engine.counters().crash_checks);
 }
 
 TEST(CrashExploreTest, CrashModeOffChecksNothing) {

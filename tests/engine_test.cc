@@ -33,8 +33,8 @@ EnginePair MakePair(FsKind ka, FsKind kb, EngineOptions options = {}) {
   EXPECT_TRUE(b.ok());
   pair.a = std::move(a).value();
   pair.b = std::move(b).value();
-  pair.engine =
-      std::make_unique<SyscallEngine>(*pair.a, *pair.b, options);
+  pair.engine = std::make_unique<SyscallEngine>(
+      std::vector<FsUnderTest*>{pair.a.get(), pair.b.get()}, options);
   return pair;
 }
 
@@ -130,6 +130,20 @@ TEST(EngineTest, SaveRestoreContractAcrossStrategies) {
     ASSERT_TRUE(pair.engine->DiscardConcrete(snap.value()).ok());
     EXPECT_FALSE(pair.engine->RestoreConcrete(snap.value()).ok());
   }
+}
+
+TEST(EngineTest, DiscardReachesEveryMemberAndReturnsTheFirstError) {
+  EnginePair pair = MakePair(FsKind::kVerifs1, FsKind::kVerifs2);
+  auto snap = pair.engine->SaveConcrete();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(pair.engine->counters().snapshots_live, 2u);
+  // Member 0 loses its snapshot behind the engine's back, so its discard
+  // fails; member 1's must still happen, and the accounting must see it.
+  ASSERT_TRUE(pair.a->DiscardState(snap.value()).ok());
+  EXPECT_EQ(pair.engine->DiscardConcrete(snap.value()).error(),
+            Errno::kENOENT);
+  EXPECT_EQ(pair.b->StateStats().count, 0u);
+  EXPECT_EQ(pair.engine->counters().snapshots_live, 0u);
 }
 
 TEST(EngineTest, ConcreteStateBytesArePositive) {

@@ -1,13 +1,12 @@
 // Tests for the paper's §7 future-work features implemented here:
 //   * the VFS-level checkpoint/restore API for kernel file systems
 //     (fs::MountStateCapture + StateStrategy::kVfsApi);
-//   * N-way checking with majority voting (NWaySyscallEngine).
+//   * N-way checking with majority voting (a SyscallEngine panel).
 #include <gtest/gtest.h>
 
 #include "fs/ext2/ext2fs.h"
 #include "mc/explorer.h"
 #include "mcfs/harness.h"
-#include "mcfs/nway_engine.h"
 #include "storage/ram_disk.h"
 
 namespace mcfs::core {
@@ -154,7 +153,7 @@ NWayStack MakeTriple(verifs::VerifsBugs bugs_for_middle) {
 TEST(NWayVote, UnanimousWhenAllAgree) {
   std::vector<OpOutcome> outcomes(3);
   for (auto& outcome : outcomes) outcome.error = Errno::kENOENT;
-  const VoteResult vote = NWaySyscallEngine::Vote(
+  const VoteResult vote = Vote(
       Operation{.kind = OpKind::kStat, .path = "/x"}, outcomes, {});
   EXPECT_TRUE(vote.unanimous);
   EXPECT_TRUE(vote.minority.empty());
@@ -164,7 +163,7 @@ TEST(NWayVote, MinorityIsIdentified) {
   std::vector<OpOutcome> outcomes(5);
   for (auto& outcome : outcomes) outcome.error = Errno::kOk;
   outcomes[3].error = Errno::kENOSPC;  // the odd one out
-  const VoteResult vote = NWaySyscallEngine::Vote(
+  const VoteResult vote = Vote(
       Operation{.kind = OpKind::kMkdir, .path = "/d"}, outcomes, {});
   EXPECT_FALSE(vote.unanimous);
   ASSERT_EQ(vote.minority.size(), 1u);
@@ -178,7 +177,7 @@ TEST(NWayVote, LargestGroupWinsWithThreeGroups) {
   outcomes[1].error = Errno::kOk;
   outcomes[2].error = Errno::kENOENT;
   outcomes[3].error = Errno::kEACCES;
-  const VoteResult vote = NWaySyscallEngine::Vote(
+  const VoteResult vote = Vote(
       Operation{.kind = OpKind::kUnlink, .path = "/f"}, outcomes, {});
   EXPECT_FALSE(vote.unanimous);
   EXPECT_EQ(vote.minority.size(), 2u);
@@ -186,11 +185,58 @@ TEST(NWayVote, LargestGroupWinsWithThreeGroups) {
   EXPECT_EQ(vote.group_of[1], 0);
 }
 
+TEST(NWayVote, ThreeWaySplitIsATieThatConvictsNobody) {
+  // No single largest group: which member would be blamed would depend
+  // on panel order, so nobody is.
+  const Operation op{.kind = OpKind::kUnlink, .path = "/f"};
+  std::vector<OpOutcome> outcomes(3);
+  outcomes[0].error = Errno::kOk;
+  outcomes[1].error = Errno::kENOENT;
+  outcomes[2].error = Errno::kEACCES;
+  const VoteResult vote = Vote(op, outcomes, {});
+  EXPECT_FALSE(vote.unanimous);
+  EXPECT_TRUE(vote.tie);
+  EXPECT_TRUE(vote.minority.empty());
+  EXPECT_EQ(vote.split, 1u);
+  EXPECT_EQ(vote.detail,
+            CompareOutcomes(op, outcomes[0], outcomes[1], {}).detail);
+}
+
+TEST(NWayVote, TwoTwoSplitIsATie) {
+  const Operation op{.kind = OpKind::kMkdir, .path = "/d"};
+  std::vector<OpOutcome> outcomes(4);
+  outcomes[0].error = Errno::kOk;
+  outcomes[1].error = Errno::kOk;
+  outcomes[2].error = Errno::kEEXIST;
+  outcomes[3].error = Errno::kEEXIST;
+  const VoteResult vote = Vote(op, outcomes, {});
+  EXPECT_FALSE(vote.unanimous);
+  EXPECT_TRUE(vote.tie);
+  EXPECT_TRUE(vote.minority.empty());
+  EXPECT_EQ(vote.split, 2u);
+  EXPECT_EQ(vote.detail,
+            CompareOutcomes(op, outcomes[0], outcomes[2], {}).detail);
+}
+
+TEST(NWayVote, TwoMemberSplitIsATieWithThePairMessage) {
+  // A pair is a 2-member panel: its split convicts nobody and reports
+  // exactly what the pairwise check says.
+  const Operation op{.kind = OpKind::kRmdir, .path = "/d"};
+  std::vector<OpOutcome> outcomes(2);
+  outcomes[0].error = Errno::kENOTEMPTY;
+  outcomes[1].error = Errno::kOk;
+  const VoteResult vote = Vote(op, outcomes, {});
+  EXPECT_TRUE(vote.tie);
+  EXPECT_TRUE(vote.minority.empty());
+  EXPECT_EQ(vote.detail,
+            CompareOutcomes(op, outcomes[0], outcomes[1], {}).detail);
+}
+
 TEST(NWayEngine, CleanTripleExploresWithoutViolation) {
   NWayStack stack = MakeTriple(verifs::VerifsBugs::None());
-  NWayOptions options;
+  EngineOptions options;
   options.pool = ParameterPool::Tiny();
-  NWaySyscallEngine engine(stack.raw, options);
+  SyscallEngine engine(stack.raw, options);
 
   mc::ExplorerOptions eopts;
   eopts.max_operations = 300;
@@ -207,9 +253,9 @@ TEST(NWayEngine, MajorityVoteConvictsTheBuggyFileSystem) {
   verifs::VerifsBugs bugs;
   bugs.size_update_only_on_capacity_growth = true;
   NWayStack stack = MakeTriple(bugs);  // middle FS (#1) is buggy
-  NWayOptions options;
+  EngineOptions options;
   options.pool = ParameterPool::Default();
-  NWaySyscallEngine engine(stack.raw, options);
+  SyscallEngine engine(stack.raw, options);
 
   mc::ExplorerOptions eopts;
   eopts.max_operations = 100'000;
@@ -246,9 +292,9 @@ TEST(NWayEngine, MixedStrategiesAndKindsExploreCleanly) {
   add(FsKind::kExt4, StateStrategy::kVfsApi);
   add(FsKind::kVerifs2, StateStrategy::kIoctl);
 
-  NWayOptions options;
+  EngineOptions options;
   options.pool = ParameterPool::Tiny();
-  NWaySyscallEngine engine(panel, options);
+  SyscallEngine engine(panel, options);
   mc::ExplorerOptions eopts;
   eopts.max_operations = 400;
   eopts.max_depth = 4;
@@ -263,8 +309,8 @@ TEST(NWayEngine, MixedStrategiesAndKindsExploreCleanly) {
 TEST(NWayEngine, ActionSetUsesFeatureIntersection) {
   NWayStack stack = MakeTriple(verifs::VerifsBugs::None());
   // The triple includes VeriFS1, which lacks rename: no rename actions.
-  NWayOptions options;
-  NWaySyscallEngine engine(stack.raw, options);
+  EngineOptions options;
+  SyscallEngine engine(stack.raw, options);
   for (std::size_t i = 0; i < engine.ActionCount(); ++i) {
     EXPECT_EQ(engine.ActionName(i).find("rename"), std::string::npos);
   }

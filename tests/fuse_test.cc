@@ -121,25 +121,29 @@ TEST(FuseWireTest, BinaryPayloadsSurviveTheWire) {
 TEST(FuseWireTest, IoctlsForwardToHostedFileSystem) {
   FuseStack stack = MakeStack();
   ASSERT_TRUE(stack.client->Mkdir("/before", 0755).ok());
-  ASSERT_TRUE(stack.client->IoctlCheckpoint(42).ok());
+  auto snap = stack.client->Checkpoint();
+  ASSERT_TRUE(snap.ok());
   EXPECT_EQ(stack.hosted->SnapshotCount(), 1u);
 
   ASSERT_TRUE(stack.client->Mkdir("/after", 0755).ok());
-  ASSERT_TRUE(stack.client->IoctlRestore(42).ok());
+  ASSERT_TRUE(stack.client->Restore(snap.value()).ok());
   EXPECT_TRUE(stack.client->GetAttr("/before").ok());
   EXPECT_EQ(stack.client->GetAttr("/after").error(), Errno::kENOENT);
-  // Restore discards (paper §5).
+  // Restore preserves the snapshot; discard ends it.
+  EXPECT_EQ(stack.hosted->SnapshotCount(), 1u);
+  ASSERT_TRUE(stack.client->Discard(snap.value()).ok());
   EXPECT_EQ(stack.hosted->SnapshotCount(), 0u);
-  EXPECT_EQ(stack.client->IoctlRestore(42).error(), Errno::kENOENT);
+  EXPECT_EQ(stack.client->Restore(snap.value()).error(), Errno::kENOENT);
 }
 
 TEST(FuseWireTest, IoctlDiscardDropsWithoutRestoring) {
   FuseStack stack = MakeStack();
-  ASSERT_TRUE(stack.client->IoctlCheckpoint(7).ok());
+  auto snap = stack.client->Checkpoint();
+  ASSERT_TRUE(snap.ok());
   ASSERT_TRUE(stack.client->Mkdir("/kept", 0755).ok());
-  ASSERT_TRUE(stack.client->IoctlDiscard(7).ok());
+  ASSERT_TRUE(stack.client->Discard(snap.value()).ok());
   EXPECT_TRUE(stack.client->GetAttr("/kept").ok());  // state untouched
-  EXPECT_EQ(stack.client->IoctlDiscard(7).error(), Errno::kENOENT);
+  EXPECT_EQ(stack.client->Discard(snap.value()).error(), Errno::kENOENT);
 }
 
 TEST(FuseWireTest, RestoreNotificationsReachTheKernelSide) {
@@ -155,9 +159,10 @@ TEST(FuseWireTest, RestoreNotificationsReachTheKernelSide) {
   stack.client->SetInvalInodeHandler(
       [&](fs::InodeNum ino) { invalidated_inos.push_back(ino); });
 
-  ASSERT_TRUE(stack.client->IoctlCheckpoint(1).ok());
+  auto snap = stack.client->Checkpoint();
+  ASSERT_TRUE(snap.ok());
   ASSERT_TRUE(stack.client->Mkdir("/dir", 0755).ok());
-  ASSERT_TRUE(stack.client->IoctlRestore(1).ok());
+  ASSERT_TRUE(stack.client->Restore(snap.value()).ok());
 
   // The restore must have emitted an entry invalidation for /dir (the
   // path from the abandoned timeline) and inode invalidations.

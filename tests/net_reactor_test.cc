@@ -1,8 +1,8 @@
 // Reactor FrameServer tests (DESIGN.md §7.9): lifecycle-flag race
 // regression, per-connection FIFO reply order under deferred replies,
 // parked steal-waits costing zero threads, scalar-RPC coalescing, a
-// >=64-connection mixed-traffic storm with mid-run disconnects, and the
-// legacy thread-per-conn model still serving.
+// >=64-connection mixed-traffic storm with mid-run disconnects, and a
+// two-shard reactor serving mixed traffic.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -60,36 +60,31 @@ Result<Frame> ReadFrame(Socket& socket, FrameDecoder& decoder) {
 
 // --- lifecycle flags (satellite 1: TSan regression) -----------------
 
-// running_/stopping_ used to be plain bools read by the accept loop
-// while Stop()'s caller wrote them — a data race TSan flags. This test
-// hammers running() from one thread while another stops the server;
-// under -DMCFS_TSAN=ON it is the regression pin.
+// running_/stopping_ used to be plain bools read by one thread while
+// Stop()'s caller wrote them — a data race TSan flags. This test hammers
+// running() from one thread while another stops the server; under
+// -DMCFS_TSAN=ON it is the regression pin.
 TEST(NetReactorTest, RunningFlagIsRaceFreeAgainstStop) {
-  for (int model = 0; model < 2; ++model) {
-    ServerOptions options;
-    options.model = model == 0 ? ServerOptions::Model::kReactor
-                               : ServerOptions::Model::kThreadPerConn;
-    mc::ShardedVisitedTable table;
-    VisitedService service(&table);
-    FrameServer server({&service}, options);
-    ASSERT_TRUE(server.Start(LoopbackTcp()).ok());
-    ASSERT_TRUE(server.running());
+  mc::ShardedVisitedTable table;
+  VisitedService service(&table);
+  FrameServer server({&service});
+  ASSERT_TRUE(server.Start(LoopbackTcp()).ok());
+  ASSERT_TRUE(server.running());
 
-    std::atomic<bool> quit{false};
-    std::thread watcher([&] {
-      std::uint64_t reads = 0;
-      while (!quit.load(std::memory_order_acquire)) {
-        if (server.running()) ++reads;  // the racing read
-      }
-      EXPECT_GT(reads, 0u);
-    });
-    // Give the watcher a moment to overlap with Stop's writes.
-    std::this_thread::sleep_for(std::chrono::milliseconds(10));
-    server.Stop();
-    EXPECT_FALSE(server.running());
-    quit.store(true, std::memory_order_release);
-    watcher.join();
-  }
+  std::atomic<bool> quit{false};
+  std::thread watcher([&] {
+    std::uint64_t reads = 0;
+    while (!quit.load(std::memory_order_acquire)) {
+      if (server.running()) ++reads;  // the racing read
+    }
+    EXPECT_GT(reads, 0u);
+  });
+  // Give the watcher a moment to overlap with Stop's writes.
+  std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  server.Stop();
+  EXPECT_FALSE(server.running());
+  quit.store(true, std::memory_order_release);
+  watcher.join();
 }
 
 // --- FIFO reply order under deferred replies ------------------------
@@ -390,43 +385,6 @@ TEST(NetReactorTest, SixtyFourClientStormWithMidRunDisconnects) {
   EXPECT_EQ(waiters_done.load(), kClients / 3);
   server.Stop();
   EXPECT_FALSE(server.running());
-}
-
-// --- legacy model regression ----------------------------------------
-
-// The thread-per-conn baseline still serves full mixed traffic (it is
-// the bench comparator and the no-epoll fallback).
-TEST(NetReactorTest, ThreadPerConnModelStillServes) {
-  ServerOptions options;
-  options.model = ServerOptions::Model::kThreadPerConn;
-  mc::ShardedVisitedTable table;
-  VisitedService visited(&table);
-  mc::SharedFrontier frontier(8);
-  FrontierService frontier_service(&frontier);
-  FrameServer server({&visited, &frontier_service}, options);
-  ASSERT_TRUE(server.Start(LoopbackTcp()).ok());
-
-  RemoteVisitedStore remote(server.endpoint(), FastPolicy());
-  for (std::uint64_t i = 0; i < 100; ++i) {
-    EXPECT_TRUE(remote.Insert(DigestOf(i)).inserted);
-  }
-  EXPECT_EQ(table.size(), 100u);
-
-  RemoteFrontier remote_frontier(server.endpoint(), 8, FastPolicy());
-  remote_frontier.WorkerStarted();
-  mc::FrontierEntry entry;
-  entry.digest = DigestOf(1);
-  entry.tag = 42;
-  remote_frontier.Push(std::move(entry));
-  auto stolen = remote_frontier.TrySteal(0);
-  ASSERT_TRUE(stolen.has_value());
-  EXPECT_EQ(stolen->tag, 42u);
-  remote_frontier.Retire();
-
-  // Legacy serving threads: 1 accept + per-connection threads — the
-  // contrast the reactor's <=2 is measured against.
-  EXPECT_GE(server.serving_threads(), 1);
-  server.Stop();
 }
 
 // Multi-shard reactor serves the same traffic (connections round-robin

@@ -5,8 +5,9 @@
 //  * differential proofs that sleep-set DFS reports the SAME state union
 //    and the same violations as full DFS on closed spaces while
 //    expanding measurably fewer transitions — on a toy two-counter
-//    system with hand-written footprints and on the real VeriFS pair
-//    (with and without hard-link aliasing in the pool);
+//    system with hand-written footprints, on the real VeriFS pair (with
+//    and without hard-link aliasing in the pool), and on a 3-member
+//    VeriFS1/VeriFS2/spec panel;
 //  * a randomized soundness harness: matrix-independent op pairs run in
 //    both orders from the same prefix must produce identical abstract
 //    digests and identical per-op outcomes, on ext2, VeriFS1 and
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
@@ -250,7 +252,8 @@ TEST(PorDifferentialTest, ToyCounterSleepSetsKeepTheStateSetExactly) {
 }
 
 // ---------------------------------------------------------------------------
-// Engine differential: the real VeriFS1/VeriFS2 pair on a closed space.
+// Engine differential: the real VeriFS1/VeriFS2 pair, and a panel that
+// adds the executable spec as a third member, on a closed space.
 
 core::McfsConfig PorVerifsConfig(bool include_link_ops) {
   core::McfsConfig config;
@@ -278,7 +281,50 @@ core::McfsConfig PorVerifsConfig(bool include_link_ops) {
   return config;
 }
 
-void RunEngineDifferential(bool include_link_ops) {
+// Each call builds a fresh engine; the shared_ptr keeps whatever owns its
+// members alive.
+using EngineFactory = std::function<std::shared_ptr<core::SyscallEngine>()>;
+
+EngineFactory PairEngine(bool include_link_ops) {
+  return [include_link_ops]() -> std::shared_ptr<core::SyscallEngine> {
+    auto mcfs = core::Mcfs::Create(PorVerifsConfig(include_link_ops));
+    if (!mcfs.ok()) return nullptr;
+    std::shared_ptr<core::Mcfs> owner = std::move(mcfs).value();
+    return {owner, &owner->engine()};
+  };
+}
+
+// VeriFS1, VeriFS2 and SpecFs, all under the ioctl strategy, over the
+// pair's widened Tiny pool: the feature intersection is VeriFS1's, so
+// the action set matches the pair's.
+EngineFactory PanelEngine() {
+  return []() -> std::shared_ptr<core::SyscallEngine> {
+    struct Panel {
+      std::vector<std::unique_ptr<core::FsUnderTest>> members;
+      std::unique_ptr<core::SyscallEngine> engine;
+    };
+    auto panel = std::make_shared<Panel>();
+    std::vector<core::FsUnderTest*> raw;
+    for (const core::FsKind kind : {core::FsKind::kVerifs1,
+                                    core::FsKind::kVerifs2,
+                                    core::FsKind::kSpec}) {
+      core::FsUnderTestConfig config;
+      config.kind = kind;
+      config.strategy = core::StateStrategy::kIoctl;
+      config.fuse_transport = kind != core::FsKind::kSpec;
+      auto fut = core::FsUnderTest::Create(config, nullptr);
+      if (!fut.ok()) return nullptr;
+      raw.push_back(fut.value().get());
+      panel->members.push_back(std::move(fut).value());
+    }
+    panel->engine = std::make_unique<core::SyscallEngine>(
+        raw, PorVerifsConfig(/*include_link_ops=*/false).engine);
+    return {panel, panel->engine.get()};
+  };
+}
+
+// `strict`: POR must expand strictly fewer transitions, not just no more.
+void RunEngineDifferential(const EngineFactory& make, bool strict) {
   ExplorerOptions base;
   base.mode = SearchMode::kDfs;
   base.max_operations = 500'000;
@@ -289,9 +335,9 @@ void RunEngineDifferential(bool include_link_ops) {
   base.seed = 7;
 
   base.por = false;
-  auto full_mcfs = core::Mcfs::Create(PorVerifsConfig(include_link_ops));
-  ASSERT_TRUE(full_mcfs.ok());
-  Explorer full(full_mcfs.value()->engine(), base);
+  const auto full_engine = make();
+  ASSERT_NE(full_engine, nullptr);
+  Explorer full(*full_engine, base);
   const ExploreStats full_stats = full.Run();
   ASSERT_FALSE(full_stats.violation_found) << full_stats.violation_report;
   ASSERT_LT(full_stats.operations, base.max_operations)
@@ -302,9 +348,9 @@ void RunEngineDifferential(bool include_link_ops) {
          "of different search orders are incomparable when truncated";
 
   base.por = true;
-  auto por_mcfs = core::Mcfs::Create(PorVerifsConfig(include_link_ops));
-  ASSERT_TRUE(por_mcfs.ok());
-  Explorer por(por_mcfs.value()->engine(), base);
+  const auto por_engine = make();
+  ASSERT_NE(por_engine, nullptr);
+  Explorer por(*por_engine, base);
   const ExploreStats por_stats = por.Run();
   ASSERT_FALSE(por_stats.violation_found) << por_stats.violation_report;
   ASSERT_LT(por_stats.operations, base.max_operations);
@@ -318,10 +364,10 @@ void RunEngineDifferential(bool include_link_ops) {
   // toy lattice), so there the bar is exactness, not savings.
   EXPECT_EQ(por_stats.unique_states, full_stats.unique_states);
   EXPECT_EQ(SortedDigests(por.visited()), SortedDigests(full.visited()));
-  if (include_link_ops) {
-    EXPECT_LE(por_stats.operations, full_stats.operations);
-  } else {
+  if (strict) {
     EXPECT_LT(por_stats.operations, full_stats.operations);
+  } else {
+    EXPECT_LE(por_stats.operations, full_stats.operations);
   }
   EXPECT_GT(por_stats.por_pruned_transitions, 0u);
   std::cout << "[ POR      ] full ops=" << full_stats.operations
@@ -331,13 +377,20 @@ void RunEngineDifferential(bool include_link_ops) {
 }
 
 TEST(PorDifferentialTest, VerifsPairMatchesFullDfsExactly) {
-  RunEngineDifferential(/*include_link_ops=*/false);
+  RunEngineDifferential(PairEngine(/*include_link_ops=*/false),
+                        /*strict=*/true);
 }
 
 TEST(PorDifferentialTest, VerifsPairWithHardLinksMatchesFullDfsExactly) {
   // Hard links alias two pool paths to one inode; the alias-class
   // expansion must keep the reduced search exact, not just smaller.
-  RunEngineDifferential(/*include_link_ops=*/true);
+  RunEngineDifferential(PairEngine(/*include_link_ops=*/true),
+                        /*strict=*/false);
+}
+
+TEST(PorDifferentialTest, SpecPanelMatchesFullDfsExactly) {
+  // A panel gets the pair's footprints: same exactness, same savings.
+  RunEngineDifferential(PanelEngine(), /*strict=*/true);
 }
 
 TEST(PorDifferentialTest, ViolationsSurviveTheReduction) {

@@ -4,6 +4,9 @@
 // randomized operation sequences.
 #include <gtest/gtest.h>
 
+#include <type_traits>
+
+#include "mcfs/fs_under_test.h"
 #include "util/rng.h"
 #include "verifs/snapshot_pool.h"
 #include "verifs/verifs1.h"
@@ -161,7 +164,8 @@ TYPED_TEST(CheckpointSuite, RestoreRollsBackEverything) {
   ASSERT_TRUE(v.Mount().ok());
   WriteAll(v, "/keep", "original");
   ASSERT_TRUE(v.Mkdir("/kept-dir", 0755).ok());
-  ASSERT_TRUE(v.IoctlCheckpoint(100).ok());
+  auto snap = v.Checkpoint();
+  ASSERT_TRUE(snap.ok());
 
   // Mutate in every dimension.
   WriteAll(v, "/keep", "MUTATED-LONGER-CONTENT");
@@ -170,7 +174,7 @@ TYPED_TEST(CheckpointSuite, RestoreRollsBackEverything) {
   ASSERT_TRUE(v.Rmdir("/kept-dir").ok());
   ASSERT_TRUE(v.Chmod("/new-file", 0600).ok());
 
-  ASSERT_TRUE(v.IoctlRestore(100).ok());
+  ASSERT_TRUE(v.Restore(snap.value()).ok());
   EXPECT_EQ(ReadAll(v, "/keep"), "original");
   EXPECT_TRUE(v.GetAttr("/kept-dir").ok());
   EXPECT_EQ(v.GetAttr("/new-file").error(), Errno::kENOENT);
@@ -180,18 +184,7 @@ TYPED_TEST(CheckpointSuite, RestoreUnknownKeyIsEnoent) {
   TypeParam v;
   ASSERT_TRUE(v.Mkfs().ok());
   ASSERT_TRUE(v.Mount().ok());
-  EXPECT_EQ(v.IoctlRestore(404).error(), Errno::kENOENT);
-}
-
-TYPED_TEST(CheckpointSuite, RestoreDiscardsTheSnapshot) {
-  TypeParam v;
-  ASSERT_TRUE(v.Mkfs().ok());
-  ASSERT_TRUE(v.Mount().ok());
-  ASSERT_TRUE(v.IoctlCheckpoint(1).ok());
-  EXPECT_EQ(v.SnapshotCount(), 1u);
-  ASSERT_TRUE(v.IoctlRestore(1).ok());
-  EXPECT_EQ(v.SnapshotCount(), 0u);
-  EXPECT_EQ(v.IoctlRestore(1).error(), Errno::kENOENT);
+  EXPECT_EQ(v.Restore(404).error(), Errno::kENOENT);
 }
 
 TYPED_TEST(CheckpointSuite, MultipleKeysCoexist) {
@@ -199,28 +192,44 @@ TYPED_TEST(CheckpointSuite, MultipleKeysCoexist) {
   ASSERT_TRUE(v.Mkfs().ok());
   ASSERT_TRUE(v.Mount().ok());
   WriteAll(v, "/f", "state-A");
-  ASSERT_TRUE(v.IoctlCheckpoint(1).ok());
+  auto a = v.Checkpoint();
+  ASSERT_TRUE(a.ok());
   WriteAll(v, "/f", "state-B");
-  ASSERT_TRUE(v.IoctlCheckpoint(2).ok());
+  auto b = v.Checkpoint();
+  ASSERT_TRUE(b.ok());
   WriteAll(v, "/f", "state-C");
 
-  ASSERT_TRUE(v.IoctlRestore(1).ok());
+  ASSERT_TRUE(v.Restore(a.value()).ok());
   EXPECT_EQ(ReadAll(v, "/f"), "state-A");
-  ASSERT_TRUE(v.IoctlRestore(2).ok());
+  ASSERT_TRUE(v.Restore(b.value()).ok());
   EXPECT_EQ(ReadAll(v, "/f"), "state-B");
 }
 
+// Keyed checkpoints live on in FsUnderTest, which maps the explorer's
+// keys to handles: saving under a live key replaces its snapshot and
+// releases the old handle.
 TYPED_TEST(CheckpointSuite, CheckpointOverwritesSameKey) {
-  TypeParam v;
-  ASSERT_TRUE(v.Mkfs().ok());
-  ASSERT_TRUE(v.Mount().ok());
-  WriteAll(v, "/f", "old");
-  ASSERT_TRUE(v.IoctlCheckpoint(1).ok());
-  WriteAll(v, "/f", "new");
-  ASSERT_TRUE(v.IoctlCheckpoint(1).ok());  // replaces
-  WriteAll(v, "/f", "newest");
-  ASSERT_TRUE(v.IoctlRestore(1).ok());
-  EXPECT_EQ(ReadAll(v, "/f"), "new");
+  core::FsUnderTestConfig config;
+  config.kind = std::is_same_v<TypeParam, Verifs1> ? core::FsKind::kVerifs1
+                                                   : core::FsKind::kVerifs2;
+  config.strategy = core::StateStrategy::kIoctl;
+  config.fuse_transport = false;
+  auto created = core::FsUnderTest::Create(config, nullptr);
+  ASSERT_TRUE(created.ok());
+  core::FsUnderTest& fut = *created.value();
+
+  WriteAll(fut.inner(), "/f", "old");
+  ASSERT_TRUE(fut.SaveState(1).ok());
+  WriteAll(fut.inner(), "/f", "new");
+  ASSERT_TRUE(fut.SaveState(1).ok());  // replaces
+  EXPECT_EQ(fut.StateStats().count, 1u);
+  WriteAll(fut.inner(), "/f", "newest");
+  ASSERT_TRUE(fut.RestoreState(1).ok());
+  EXPECT_EQ(ReadAll(fut.inner(), "/f"), "new");
+
+  ASSERT_TRUE(fut.DiscardState(1).ok());
+  EXPECT_EQ(fut.StateStats().count, 0u);
+  EXPECT_EQ(fut.RestoreState(1).error(), Errno::kENOENT);
 }
 
 TYPED_TEST(CheckpointSuite, OpenHandlesDoNotSurviveRestore) {
@@ -228,18 +237,19 @@ TYPED_TEST(CheckpointSuite, OpenHandlesDoNotSurviveRestore) {
   ASSERT_TRUE(v.Mkfs().ok());
   ASSERT_TRUE(v.Mount().ok());
   WriteAll(v, "/f", "x");
-  ASSERT_TRUE(v.IoctlCheckpoint(1).ok());
+  auto snap = v.Checkpoint();
+  ASSERT_TRUE(snap.ok());
   auto fd = v.Open("/f", fs::kRdOnly, 0);
   ASSERT_TRUE(fd.ok());
-  ASSERT_TRUE(v.IoctlRestore(1).ok());
+  ASSERT_TRUE(v.Restore(snap.value()).ok());
   EXPECT_EQ(v.Read(fd.value(), 0, 1).error(), Errno::kEBADF);
 }
 
 TYPED_TEST(CheckpointSuite, IoctlsRequireMount) {
   TypeParam v;
   ASSERT_TRUE(v.Mkfs().ok());
-  EXPECT_EQ(v.IoctlCheckpoint(1).error(), Errno::kEINVAL);
-  EXPECT_EQ(v.IoctlRestore(1).error(), Errno::kEINVAL);
+  EXPECT_EQ(v.Checkpoint().error(), Errno::kEINVAL);
+  EXPECT_EQ(v.Restore(1).error(), Errno::kEINVAL);
 }
 
 // Property: a randomized op sequence, checkpointed in the middle, always
@@ -279,10 +289,11 @@ TYPED_TEST(CheckpointSuite, RandomizedRoundTripProperty) {
     };
 
     for (int i = 0; i < 30; ++i) random_op(v);
-    ASSERT_TRUE(v.IoctlCheckpoint(7).ok());
+    auto snap = v.Checkpoint();
+    ASSERT_TRUE(snap.ok());
     const Bytes reference = v.ExportState();
     for (int i = 0; i < 30; ++i) random_op(v);
-    ASSERT_TRUE(v.IoctlRestore(7).ok());
+    ASSERT_TRUE(v.Restore(snap.value()).ok());
     EXPECT_EQ(v.ExportState(), reference) << "seed " << seed;
   }
 }

@@ -237,13 +237,14 @@ TEST(VfsStaleness, PositiveEntryCausesSpuriousEexist) {
   ASSERT_TRUE(verifs->Mkfs().ok());
   ASSERT_TRUE(v.Mount().ok());
 
-  ASSERT_TRUE(verifs->IoctlCheckpoint(1).ok());
+  auto snap = verifs->Checkpoint();
+  ASSERT_TRUE(snap.ok());
   ASSERT_TRUE(v.Mkdir("/newdir", 0755).ok());
   ASSERT_TRUE(v.Stat("/newdir").ok());  // dcache now holds /newdir
 
   // Roll back WITHOUT notifications (no notifier wired): /newdir is gone
   // from the FS but not from the dcache.
-  ASSERT_TRUE(verifs->IoctlRestore(1).ok());
+  ASSERT_TRUE(verifs->Restore(snap.value()).ok());
   EXPECT_FALSE(verifs->GetAttr("/newdir").ok());
 
   // The spurious EEXIST: "VeriFS failed, claiming that the directory
