@@ -4,7 +4,7 @@
 #include <cassert>
 
 #include "fs/path.h"
-#include "util/md5.h"
+#include "util/crc32.h"
 
 namespace mcfs::fs {
 
@@ -19,10 +19,49 @@ Jffs2Fs::~Jffs2Fs() {
 // ---------------------------------------------------------------------------
 // Node serialization
 //
-// On-flash node: magic u32, type u8, seq u64, payload_len u32,
-// crc u32 (low word of MD5 over payload), payload bytes; nodes are packed
-// back-to-back, 4-byte aligned. Erased flash (0xff...) fails the magic
-// check, which is how the log scan finds its end.
+// On-flash node (kNodeHeaderBytes = 21 bytes of header):
+//   magic u32 | type u8 | seq u64 | payload_len u32 | crc u32 | payload
+// little-endian, packed back-to-back and padded to 4-byte alignment. The
+// CRC-32 (util/crc32.h) covers type, seq and payload_len as well as the
+// payload: the CRC-32 of an empty payload is 0, so a payload-only check
+// would accept an all-zero torn header, and a bit flip in seq would
+// replay the node under the wrong sequence number. Erased flash (0xff...)
+// fails the magic check, which is how the log scan finds its end; a CRC
+// mismatch marks a torn node, where the valid log ends.
+
+namespace {
+
+constexpr std::size_t kNodeHeaderBytes = 21;
+// The CRC-covered header fields: type, seq, payload_len.
+constexpr std::size_t kNodeCrcFieldsOffset = 4;
+constexpr std::size_t kNodeCrcFieldsBytes = 13;
+
+std::uint32_t NodeCrc(ByteView header, ByteView payload) {
+  return Crc32(payload, Crc32(header.subspan(kNodeCrcFieldsOffset,
+                                             kNodeCrcFieldsBytes)));
+}
+
+}  // namespace
+
+Bytes Jffs2Fs::FrameNode(NodeType type, std::uint64_t seq, ByteView payload) {
+  ByteWriter w;
+  w.PutU32(kNodeMagic);
+  w.PutU8(static_cast<std::uint8_t>(type));
+  w.PutU64(seq);
+  w.PutU32(static_cast<std::uint32_t>(payload.size()));
+  w.PutU32(NodeCrc(w.bytes(), payload));
+  w.PutBytes(payload);
+  Bytes node = w.Take();
+  node.resize((node.size() + 3) / 4 * 4, 0);
+  return node;
+}
+
+Status Jffs2Fs::ProgramAtHead(ByteView node) {
+  if (log_head_ + node.size() > mtd_->size_bytes()) return Errno::kENOSPC;
+  if (Status s = mtd_->Program(log_head_, node); !s.ok()) return s;
+  log_head_ += node.size();
+  return Status::Ok();
+}
 
 Bytes Jffs2Fs::SerializeInodeNode(InodeNum ino, const InodeRec& rec,
                                   bool tombstone) {
@@ -74,24 +113,11 @@ Bytes Jffs2Fs::SerializeRenameNode(InodeNum src_parent,
 }
 
 Status Jffs2Fs::AppendNode(ByteView payload, NodeType type) {
-  ByteWriter w;
-  w.PutU32(kNodeMagic);
-  w.PutU8(static_cast<std::uint8_t>(type));
-  w.PutU64(next_seq_);
-  w.PutU32(static_cast<std::uint32_t>(payload.size()));
-  w.PutU32(static_cast<std::uint32_t>(Md5::Hash(payload).lo64()));
-  w.PutBytes(payload);
-  Bytes node = w.Take();
-  while (node.size() % 4 != 0) node.push_back(0);
-
+  const Bytes node = FrameNode(type, next_seq_, payload);
   if (log_head_ + node.size() > mtd_->size_bytes()) {
     if (Status s = GarbageCollect(); !s.ok()) return s;
-    if (log_head_ + node.size() > mtd_->size_bytes()) {
-      return Errno::kENOSPC;
-    }
   }
-  if (Status s = mtd_->Program(log_head_, node); !s.ok()) return s;
-  log_head_ += node.size();
+  if (Status s = ProgramAtHead(node); !s.ok()) return s;
   ++next_seq_;
   return Status::Ok();
 }
@@ -121,35 +147,21 @@ Status Jffs2Fs::GarbageCollect() {
   }
   log_head_ = 0;
   for (const auto& [ino, rec] : inodes_) {
-    Bytes payload = SerializeInodeNode(ino, rec, /*tombstone=*/false);
-    ByteWriter w;
-    w.PutU32(kNodeMagic);
-    w.PutU8(static_cast<std::uint8_t>(NodeType::kInode));
-    w.PutU64(next_seq_++);
-    w.PutU32(static_cast<std::uint32_t>(payload.size()));
-    w.PutU32(static_cast<std::uint32_t>(Md5::Hash(payload).lo64()));
-    w.PutBytes(payload);
-    Bytes node = w.Take();
-    while (node.size() % 4 != 0) node.push_back(0);
-    if (log_head_ + node.size() > mtd_->size_bytes()) return Errno::kENOSPC;
-    if (Status s = mtd_->Program(log_head_, node); !s.ok()) return s;
-    log_head_ += node.size();
+    const Bytes payload = SerializeInodeNode(ino, rec, /*tombstone=*/false);
+    if (Status s = ProgramAtHead(FrameNode(NodeType::kInode, next_seq_++,
+                                           payload));
+        !s.ok()) {
+      return s;
+    }
   }
   for (const auto& [key, val] : dirents_) {
-    Bytes payload =
+    const Bytes payload =
         SerializeDirentNode(key.first, key.second, val.first, val.second);
-    ByteWriter w;
-    w.PutU32(kNodeMagic);
-    w.PutU8(static_cast<std::uint8_t>(NodeType::kDirent));
-    w.PutU64(next_seq_++);
-    w.PutU32(static_cast<std::uint32_t>(payload.size()));
-    w.PutU32(static_cast<std::uint32_t>(Md5::Hash(payload).lo64()));
-    w.PutBytes(payload);
-    Bytes node = w.Take();
-    while (node.size() % 4 != 0) node.push_back(0);
-    if (log_head_ + node.size() > mtd_->size_bytes()) return Errno::kENOSPC;
-    if (Status s = mtd_->Program(log_head_, node); !s.ok()) return s;
-    log_head_ += node.size();
+    if (Status s = ProgramAtHead(FrameNode(NodeType::kDirent, next_seq_++,
+                                           payload));
+        !s.ok()) {
+      return s;
+    }
   }
   return Status::Ok();
 }
@@ -170,8 +182,8 @@ Status Jffs2Fs::ReplayLog() {
 
   const std::uint64_t flash = mtd_->size_bytes();
   std::uint64_t pos = 0;
-  while (pos + 21 <= flash) {
-    Bytes header(21);
+  while (pos + kNodeHeaderBytes <= flash) {
+    Bytes header(kNodeHeaderBytes);
     if (Status s = mtd_->Read(pos, header); !s.ok()) return s;
     ByteReader hr(header);
     if (hr.GetU32() != kNodeMagic) break;  // erased area: end of log
@@ -179,10 +191,12 @@ Status Jffs2Fs::ReplayLog() {
     const std::uint64_t seq = hr.GetU64();
     const std::uint32_t len = hr.GetU32();
     const std::uint32_t crc = hr.GetU32();
-    if (pos + 21 + len > flash) break;  // truncated tail
+    if (pos + kNodeHeaderBytes + len > flash) break;  // truncated tail
     Bytes payload(len);
-    if (Status s = mtd_->Read(pos + 21, payload); !s.ok()) return s;
-    if (static_cast<std::uint32_t>(Md5::Hash(payload).lo64()) != crc) {
+    if (Status s = mtd_->Read(pos + kNodeHeaderBytes, payload); !s.ok()) {
+      return s;
+    }
+    if (NodeCrc(header, payload) != crc) {
       break;  // torn node: end of valid log
     }
 
@@ -247,9 +261,7 @@ Status Jffs2Fs::ReplayLog() {
     }
     if (seq >= next_seq_) next_seq_ = seq + 1;
 
-    std::uint64_t advance = 21 + len;
-    while (advance % 4 != 0) ++advance;
-    pos += advance;
+    pos += (kNodeHeaderBytes + len + 3) / 4 * 4;
   }
   log_head_ = pos;
 

@@ -132,6 +132,12 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
                             InodeNum dst_parent, const std::string& dst_name,
                             InodeNum target, FileType type, InodeNum victim,
                             bool victim_unlinked);
+  // One on-flash node: header, CRC-32 and payload, padded (see the format
+  // comment in jffs2fs.cc). Shared by appends and garbage collection.
+  static Bytes FrameNode(NodeType type, std::uint64_t seq, ByteView payload);
+  // Programs a framed node at the log head and advances it; ENOSPC if it
+  // does not fit before the end of the flash.
+  Status ProgramAtHead(ByteView node);
   Status AppendNode(ByteView payload, NodeType type);
   Status GarbageCollect();
   Status ReplayLog();

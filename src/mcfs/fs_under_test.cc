@@ -590,38 +590,30 @@ std::vector<std::string> FsUnderTest::SpecialPaths() const {
   return {};
 }
 
-Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(
-    ByteView image) const {
+Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(Bytes image) const {
   // No simulated clock: probe mounts are checking logic, not charged time.
+  // The image becomes the probe device's contents as is, without a copy.
   switch (config_.kind) {
-    case FsKind::kExt2: {
-      auto dev = std::make_shared<storage::RamDisk>("ext2f-probe",
-                                                    image.size(), nullptr);
-      if (Status s = dev->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::Ext2Fs>(dev, Ext2OptionsFor(config_)));
-    }
-    case FsKind::kExt4: {
-      auto dev = std::make_shared<storage::RamDisk>("ext4f-probe",
-                                                    image.size(), nullptr);
-      if (Status s = dev->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::Ext4Fs>(dev, Ext4OptionsFor(config_)));
-    }
-    case FsKind::kXfs: {
-      auto dev = std::make_shared<storage::RamDisk>("xfsf-probe",
-                                                    image.size(), nullptr);
-      if (Status s = dev->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::XfsFs>(dev, XfsOptionsFor(config_)));
-    }
-    case FsKind::kJffs2: {
-      auto mtd = std::make_shared<storage::MtdDevice>("mtdram-probe",
-                                                      image.size(), nullptr);
-      if (Status s = mtd->RestoreContents(image); !s.ok()) return s.error();
-      return fs::FileSystemPtr(
-          std::make_shared<fs::Jffs2Fs>(mtd, Jffs2OptionsFor(config_)));
-    }
+    case FsKind::kExt2:
+      return fs::FileSystemPtr(std::make_shared<fs::Ext2Fs>(
+          std::make_shared<storage::RamDisk>("ext2f-probe", std::move(image),
+                                             nullptr),
+          Ext2OptionsFor(config_)));
+    case FsKind::kExt4:
+      return fs::FileSystemPtr(std::make_shared<fs::Ext4Fs>(
+          std::make_shared<storage::RamDisk>("ext4f-probe", std::move(image),
+                                             nullptr),
+          Ext4OptionsFor(config_)));
+    case FsKind::kXfs:
+      return fs::FileSystemPtr(std::make_shared<fs::XfsFs>(
+          std::make_shared<storage::RamDisk>("xfsf-probe", std::move(image),
+                                             nullptr),
+          XfsOptionsFor(config_)));
+    case FsKind::kJffs2:
+      return fs::FileSystemPtr(std::make_shared<fs::Jffs2Fs>(
+          std::make_shared<storage::MtdDevice>("mtdram-probe",
+                                               std::move(image), nullptr),
+          Jffs2OptionsFor(config_)));
     case FsKind::kVerifs1:
     case FsKind::kVerifs2:
     case FsKind::kSpec:

@@ -136,11 +136,12 @@ class FsUnderTest {
 
   // Crash exploration: the recording wrapper (null unless configured
   // with crashable_device), and a factory for recovery probes — a fresh
-  // device restored to `image`, mounted by nothing, carrying the same
-  // file-system options (including seeded bugs, so a mutant's broken
-  // recovery path is the one exercised). The caller mounts it.
+  // device whose contents are `image` (moved in, not copied), mounted by
+  // nothing, carrying the same file-system options (including seeded
+  // bugs, so a mutant's broken recovery path is the one exercised). The
+  // caller mounts it.
   storage::CrashableDisk* crash_disk() { return crash_disk_; }
-  Result<fs::FileSystemPtr> BuildRecoveryProbe(ByteView image) const;
+  Result<fs::FileSystemPtr> BuildRecoveryProbe(Bytes image) const;
 
  private:
   FsUnderTest() = default;

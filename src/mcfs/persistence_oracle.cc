@@ -285,26 +285,32 @@ Status CrashConsistencyChecker::ObserveOp(const Operation& op,
 Result<std::string> CrashConsistencyChecker::Check() {
   storage::CrashableDisk* disk = fut_->crash_disk();
   if (disk == nullptr) return Errno::kEINVAL;
-  const std::vector<storage::CrashState> states =
-      disk->EnumerateCrashStates(options_.states);
-  for (const storage::CrashState& st : states) {
+  // Each state is checked as it is enumerated, so one recovery image is
+  // alive at a time; the first failure ends the walk.
+  Result<std::string> verdict = std::string();
+  disk->VisitCrashStates(options_.states, [&](storage::CrashState st) {
     ++states_checked_;
-    auto probe = fut_->BuildRecoveryProbe(
-        ByteView(st.image.data(), st.image.size()));
-    if (!probe.ok()) return probe.error();
+    auto probe = fut_->BuildRecoveryProbe(std::move(st.image));
+    if (!probe.ok()) {
+      verdict = probe.error();
+      return false;
+    }
     fs::FileSystem& fs = *probe.value();
     if (Status s = fs.Mount(); !s.ok()) {
-      return std::string("crash: recovered mount failed on ") +
-             fut_->name() + " [" + st.Describe() +
-             "]: " + std::string(ErrnoName(s.error()));
+      verdict = std::string("crash: recovered mount failed on ") +
+                fut_->name() + " [" + st.Describe() +
+                "]: " + std::string(ErrnoName(s.error()));
+      return false;
     }
     std::string detail = oracle_.ValidateRecovered(fs);
     if (!detail.empty()) {
-      return "crash: persistence violation on " + fut_->name() + " [" +
-             st.Describe() + "]: " + detail;
+      verdict = "crash: persistence violation on " + fut_->name() + " [" +
+                st.Describe() + "]: " + detail;
+      return false;
     }
-  }
-  return std::string();
+    return true;
+  });
+  return verdict;
 }
 
 }  // namespace mcfs::core

@@ -13,9 +13,51 @@ namespace mcfs::storage {
 namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x4352444bu;  // "CRDK"
+constexpr std::size_t kChunkBytes = CrashableDisk::kChunkBytes;
+constexpr std::size_t kDigestBytes = sizeof(Md5Digest::bytes);
 
-std::uint64_t ImageDigest(const Bytes& image) {
-  return Md5::Hash(ByteView(image.data(), image.size())).lo64();
+std::size_t ChunkCount(std::size_t image_bytes) {
+  return (image_bytes + kChunkBytes - 1) / kChunkBytes;
+}
+
+// Appends the chunks [offset, offset + len) overlaps.
+void AddTouchedChunks(std::uint64_t offset, std::size_t len,
+                      std::vector<std::size_t>* chunks) {
+  if (len == 0) return;
+  for (std::size_t c = offset / kChunkBytes;
+       c <= (offset + len - 1) / kChunkBytes; ++c) {
+    chunks->push_back(c);
+  }
+}
+
+void SortUnique(std::vector<std::size_t>* v) {
+  std::sort(v->begin(), v->end());
+  v->erase(std::unique(v->begin(), v->end()), v->end());
+}
+
+ByteView ChunkOf(const Bytes& image, std::size_t chunk) {
+  const std::size_t begin = chunk * kChunkBytes;
+  return ByteView(image.data() + begin,
+                  std::min(kChunkBytes, image.size() - begin));
+}
+
+void StoreDigest(Bytes* table, std::size_t chunk, const Md5Digest& digest) {
+  std::memcpy(table->data() + chunk * kDigestBytes, digest.bytes.data(),
+              kDigestBytes);
+}
+
+Bytes ChunkTable(const Bytes& image) {
+  Bytes table(ChunkCount(image.size()) * kDigestBytes);
+  for (std::size_t c = 0; c < ChunkCount(image.size()); ++c) {
+    StoreDigest(&table, c, Md5::Hash(ChunkOf(image, c)));
+  }
+  return table;
+}
+
+void Apply(Bytes* image, std::uint64_t offset, ByteView after) {
+  if (!after.empty()) {
+    std::memcpy(image->data() + offset, after.data(), after.size());
+  }
 }
 
 }  // namespace
@@ -34,7 +76,8 @@ std::string CrashState::Describe() const {
 CrashableDisk::CrashableDisk(BlockDevicePtr inner)
     : inner_(std::move(inner)),
       durable_(inner_->SnapshotContents()),
-      durable_digest_(ImageDigest(durable_)) {}
+      chunk_table_(ChunkTable(durable_)),
+      durable_digest_(Md5::Hash(chunk_table_).lo64()) {}
 
 CrashableDisk::~CrashableDisk() {
   if (mtd_ != nullptr) mtd_->set_write_observer(nullptr);
@@ -89,13 +132,18 @@ void CrashableDisk::RecordWrite(std::uint64_t offset, ByteView after) {
 }
 
 void CrashableDisk::CommitBarrier() {
+  std::vector<std::size_t> dirty;
   for (const WriteRecord& rec : journal_) {
-    std::memcpy(durable_.data() + rec.offset, rec.after.data(),
-                rec.after.size());
+    Apply(&durable_, rec.offset, rec.after);
+    AddTouchedChunks(rec.offset, rec.after.size(), &dirty);
+  }
+  SortUnique(&dirty);
+  for (std::size_t c : dirty) {
+    StoreDigest(&chunk_table_, c, Md5::Hash(ChunkOf(durable_, c)));
   }
   journal_.clear();
   ++barriers_;
-  durable_digest_ = ImageDigest(durable_);
+  durable_digest_ = Md5::Hash(chunk_table_).lo64();
 }
 
 void CrashableDisk::MarkClean() {
@@ -109,15 +157,60 @@ Bytes CrashableDisk::ImageWithSubset(
   // Ascending indices = issue order, so overlapping in-flight writes
   // resolve the same way the device would (later write wins).
   for (std::size_t idx : applied) {
-    const WriteRecord& rec = journal_[idx];
-    std::memcpy(image.data() + rec.offset, rec.after.data(),
-                rec.after.size());
+    Apply(&image, journal_[idx].offset, journal_[idx].after);
   }
   return image;
 }
 
+Md5Digest CrashableDisk::SubsetDigest(
+    const std::vector<std::size_t>& applied) const {
+  std::vector<std::size_t> touched;
+  for (std::size_t idx : applied) {
+    AddTouchedChunks(journal_[idx].offset, journal_[idx].after.size(),
+                     &touched);
+  }
+  SortUnique(&touched);
+  // The table digest streams the durable entries between touched chunks
+  // and a fresh digest for each touched one, so it equals MD5 over the
+  // table this image's own chunks would produce.
+  Md5 table;
+  std::size_t next = 0;
+  Bytes chunk;
+  for (std::size_t c : touched) {
+    table.Update(ByteView(chunk_table_).subspan(
+        next * kDigestBytes, (c - next) * kDigestBytes));
+    const ByteView durable = ChunkOf(durable_, c);
+    chunk.assign(durable.begin(), durable.end());
+    const std::uint64_t begin = c * kChunkBytes;
+    const std::uint64_t end = begin + chunk.size();
+    for (std::size_t idx : applied) {  // write order: later write wins
+      const WriteRecord& rec = journal_[idx];
+      const std::uint64_t lo = std::max(begin, rec.offset);
+      const std::uint64_t hi = std::min(end, rec.offset + rec.after.size());
+      if (lo >= hi) continue;
+      std::memcpy(chunk.data() + (lo - begin),
+                  rec.after.data() + (lo - rec.offset), hi - lo);
+    }
+    table.Update(Md5::Hash(chunk).bytes);
+    next = c + 1;
+  }
+  table.Update(ByteView(chunk_table_).subspan(next * kDigestBytes));
+  return table.Final();
+}
+
 std::vector<CrashState> CrashableDisk::EnumerateCrashStates(
     const CrashStateOptions& options) const {
+  std::vector<CrashState> states;
+  VisitCrashStates(options, [&states](CrashState state) {
+    states.push_back(std::move(state));
+    return true;
+  });
+  return states;
+}
+
+void CrashableDisk::VisitCrashStates(
+    const CrashStateOptions& options,
+    const std::function<bool(CrashState)>& visit) const {
   const std::size_t n = journal_.size();
   const std::size_t cap = std::max<std::size_t>(options.max_states, 2);
 
@@ -168,17 +261,15 @@ std::vector<CrashState> CrashableDisk::EnumerateCrashStates(
     }
   }
 
-  std::vector<CrashState> states;
-  std::set<std::uint64_t> seen;  // dedup identical images
-  for (const auto& subset : subsets) {
+  std::set<Md5Digest> seen;  // dedup identical images
+  for (auto& subset : subsets) {
+    if (!seen.insert(SubsetDigest(subset)).second) continue;
     CrashState state;
     state.image = ImageWithSubset(subset);
-    if (!seen.insert(ImageDigest(state.image)).second) continue;
-    state.applied = subset;
+    state.applied = std::move(subset);
     state.pending_total = n;
-    states.push_back(std::move(state));
+    if (!visit(std::move(state))) return;
   }
-  return states;
 }
 
 std::uint64_t CrashableDisk::StateDigest() const {
@@ -196,43 +287,65 @@ std::uint64_t CrashableDisk::StateDigest() const {
 Bytes CrashableDisk::SnapshotContents() const {
   ByteWriter w;
   w.PutU32(kSnapshotMagic);
-  w.PutBlob(ByteView(durable_.data(), durable_.size()));
+  w.PutBlob(durable_);
+  w.PutBlob(chunk_table_);
   w.PutU64(barriers_);
   w.PutU32(static_cast<std::uint32_t>(journal_.size()));
   for (const WriteRecord& rec : journal_) {
     w.PutU64(rec.offset);
-    w.PutBlob(ByteView(rec.after.data(), rec.after.size()));
+    w.PutBlob(rec.after);
   }
   return w.Take();
 }
 
 Status CrashableDisk::RestoreContents(ByteView contents) {
+  // Parse and check the whole blob before touching a member or the inner
+  // device, so a malformed one changes nothing.
+  Bytes durable;
+  Bytes table;
+  std::uint64_t barriers = 0;
+  std::vector<WriteRecord> journal;
   try {
     ByteReader r(contents);
     if (r.GetU32() != kSnapshotMagic) return Errno::kEINVAL;
-    Bytes durable = r.GetBlob();
-    const std::uint64_t barriers = r.GetU64();
+    durable = r.GetBlob();
+    if (durable.size() != inner_->size_bytes()) return Errno::kEINVAL;
+    table = r.GetBlob();
+    if (table.size() != ChunkCount(durable.size()) * kDigestBytes) {
+      return Errno::kEINVAL;
+    }
+    barriers = r.GetU64();
     const std::uint32_t count = r.GetU32();
-    std::vector<WriteRecord> journal;
+    // Each record holds at least an offset and a blob length, which
+    // bounds the count before anything is reserved for it.
+    if (count > r.remaining() / (2 * sizeof(std::uint64_t))) {
+      return Errno::kEINVAL;
+    }
     journal.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       WriteRecord rec;
       rec.offset = r.GetU64();
       rec.after = r.GetBlob();
+      if (rec.offset > durable.size() ||
+          rec.after.size() > durable.size() - rec.offset) {
+        return Errno::kEINVAL;
+      }
       journal.push_back(std::move(rec));
     }
     if (!r.AtEnd()) return Errno::kEINVAL;
-    durable_ = std::move(durable);
-    journal_ = std::move(journal);
-    barriers_ = barriers;
-    durable_digest_ = ImageDigest(durable_);
-    // The inner device's live contents = durable + every in-flight write.
-    std::vector<std::size_t> all(journal_.size());
-    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
-    return inner_->RestoreContents(ImageWithSubset(all));
   } catch (const std::out_of_range&) {
     return Errno::kEINVAL;
   }
+  // The inner device's live contents = durable + every in-flight write.
+  Bytes live = durable;
+  for (const WriteRecord& rec : journal) Apply(&live, rec.offset, rec.after);
+  if (Status s = inner_->RestoreContents(live); !s.ok()) return s;
+  durable_ = std::move(durable);
+  chunk_table_ = std::move(table);
+  journal_ = std::move(journal);
+  barriers_ = barriers;
+  durable_digest_ = Md5::Hash(chunk_table_).lo64();
+  return Status::Ok();
 }
 
 }  // namespace mcfs::storage

@@ -12,18 +12,26 @@
 // post-barrier writes are droppable. This is the B3 crash model (PAPERS.md)
 // specialized to whole-write granularity.
 //
+// Images are digested chunk-wise: the recorder keeps the MD5 of every
+// kChunkBytes chunk of the durable image, and an image's digest is the
+// MD5 over that table. A barrier re-hashes only the chunks its journal
+// touched, a crash candidate only the chunks its own writes touch, and a
+// snapshot carries the table so a restore re-hashes nothing.
+//
 // JFFS2 programs its MTD directly, bypassing the block shim, so for that
 // stack the wrapper doubles as an MtdWriteObserver: raw Program/EraseBlock
 // post-images and fsync barriers arrive via the observer hooks instead of
 // Write()/Flush().
 #pragma once
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "storage/block_device.h"
 #include "storage/mtd_device.h"
+#include "util/md5.h"
 
 namespace mcfs::storage {
 
@@ -47,6 +55,9 @@ struct CrashState {
 
 class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
  public:
+  // Granularity of the durable image's digest table.
+  static constexpr std::size_t kChunkBytes = 4096;
+
   explicit CrashableDisk(BlockDevicePtr inner);
   ~CrashableDisk() override;
 
@@ -62,9 +73,11 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   }
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
-  // Snapshots carry the full crash bookkeeping (durable image + journal +
-  // barrier count), not just the current contents, so explorer rollbacks
-  // restore the recorder to the exact persistence state too.
+  // Snapshots carry the full crash bookkeeping (durable image, its chunk
+  // digest table, journal, barrier count), not just the current contents,
+  // so explorer rollbacks restore the recorder to the exact persistence
+  // state too. A restore validates the whole blob first: a malformed one
+  // returns EINVAL and changes nothing.
   Bytes SnapshotContents() const override;
   Status RestoreContents(ByteView contents) override;
   const DeviceStats& stats() const override { return inner_->stats(); }
@@ -75,6 +88,14 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   Status OnMtdBarrier() override;
 
   // Crash-state generation -------------------------------------------------
+  // Calls `visit` with each crash state in candidate order and stops early
+  // when it returns false. States with identical images are visited once,
+  // the first in candidate order, and an image is materialized only for
+  // the state about to be visited: a caller that consumes each state
+  // before returning holds one image at a time.
+  void VisitCrashStates(const CrashStateOptions& options,
+                        const std::function<bool(CrashState)>& visit) const;
+  // Every state VisitCrashStates visits, collected.
   std::vector<CrashState> EnumerateCrashStates(
       const CrashStateOptions& options) const;
 
@@ -104,10 +125,14 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   void RecordWrite(std::uint64_t offset, ByteView after);
   void CommitBarrier();
   Bytes ImageWithSubset(const std::vector<std::size_t>& applied) const;
+  // Digest of the image ImageWithSubset(applied) would build, computed
+  // from the durable table plus the chunks those writes touch.
+  Md5Digest SubsetDigest(const std::vector<std::size_t>& applied) const;
 
   BlockDevicePtr inner_;
   std::shared_ptr<MtdDevice> mtd_;   // set iff observing a raw MTD
   Bytes durable_;                    // image as of the last barrier
+  Bytes chunk_table_;                // MD5 of each durable_ chunk, in order
   std::vector<WriteRecord> journal_; // in-flight writes, issue order
   std::uint64_t barriers_ = 0;
   std::uint64_t injected_flush_errors_ = 0;

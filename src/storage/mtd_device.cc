@@ -13,9 +13,19 @@ MtdDevice::MtdDevice(std::string name, std::uint64_t size_bytes,
       data_(size_bytes, 0xff),
       erase_counts_(size_bytes / options.erase_block_size, 0) {}
 
+MtdDevice::MtdDevice(std::string name, Bytes image, SimClock* clock,
+                     MtdOptions options)
+    : name_(std::move(name)),
+      options_(options),
+      clock_(clock),
+      data_(std::move(image)),
+      erase_counts_(data_.size() / options.erase_block_size, 0) {}
+
 Status MtdDevice::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
   if (offset + out.size() > data_.size()) return Errno::kEIO;
-  std::memcpy(out.data(), data_.data() + offset, out.size());
+  if (!out.empty()) {
+    std::memcpy(out.data(), data_.data() + offset, out.size());
+  }
   Charge((out.size() + 1023) / 1024 * options_.read_latency_per_kb);
   return Status::Ok();
 }

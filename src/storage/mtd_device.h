@@ -42,6 +42,10 @@ class MtdDevice {
  public:
   MtdDevice(std::string name, std::uint64_t size_bytes, SimClock* clock,
             MtdOptions options = {});
+  // Takes `image` as the flash contents, with no 0xff fill and no copy
+  // (crash recovery probes are built this way).
+  MtdDevice(std::string name, Bytes image, SimClock* clock,
+            MtdOptions options = {});
 
   std::uint64_t size_bytes() const { return data_.size(); }
   std::uint32_t erase_block_size() const { return options_.erase_block_size; }

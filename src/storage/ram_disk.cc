@@ -12,6 +12,13 @@ RamDisk::RamDisk(std::string name, std::uint64_t size_bytes, SimClock* clock,
       clock_(clock),
       data_(size_bytes, 0) {}
 
+RamDisk::RamDisk(std::string name, Bytes image, SimClock* clock,
+                 RamDiskOptions options)
+    : name_(std::move(name)),
+      options_(options),
+      clock_(clock),
+      data_(std::move(image)) {}
+
 bool RamDisk::ConsumeInjectedError() {
   if (injected_errors_ == 0) return false;
   --injected_errors_;

@@ -34,6 +34,10 @@ class RamDisk final : public BlockDevice {
   // `clock` may be null (no time accounting, e.g. in unit tests).
   RamDisk(std::string name, std::uint64_t size_bytes, SimClock* clock,
           RamDiskOptions options = {});
+  // Takes `image` as its contents, with no zero fill and no copy (crash
+  // recovery probes are built this way).
+  RamDisk(std::string name, Bytes image, SimClock* clock,
+          RamDiskOptions options = {});
 
   std::uint64_t size_bytes() const override { return data_.size(); }
   std::uint32_t block_size() const override { return options_.block_size; }

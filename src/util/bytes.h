@@ -107,8 +107,10 @@ class ByteReader {
     return v;
   }
 
+  // Compared against what is left rather than as pos_ + n, which wraps
+  // for an untrusted 64-bit length near SIZE_MAX.
   void Require(std::size_t n) const {
-    if (pos_ + n > data_.size()) {
+    if (n > data_.size() - pos_) {
       throw std::out_of_range("ByteReader: truncated input");
     }
   }

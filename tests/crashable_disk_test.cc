@@ -1,16 +1,20 @@
 // Unit tests for CrashableDisk: crash-state enumeration (barrier
 // legality, golden counts, dedup, sampling), flush fault injection,
-// snapshot bookkeeping, and the MTD observer path — including the
-// regression test for MtdBlockShim::Flush(), which used to be a silent
-// no-op and made every un-flushed write look durable.
+// snapshot bookkeeping and hostile snapshots, a differential of the
+// chunk-digest dedup against whole-image MD5, and the MTD observer path —
+// including the regression test for MtdBlockShim::Flush(), which used to
+// be a silent no-op and made every un-flushed write look durable.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <set>
+#include <tuple>
 
 #include "storage/crashable_disk.h"
 #include "storage/mtd_device.h"
 #include "storage/ram_disk.h"
+#include "util/md5.h"
+#include "util/rng.h"
 
 namespace mcfs::storage {
 namespace {
@@ -178,6 +182,49 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
   EXPECT_EQ(durable[256], 0);
 
   EXPECT_EQ(disk->RestoreContents(Bytes(64, 0xab)).error(), Errno::kEINVAL);
+
+  // Hostile blobs: each returns EINVAL and leaves the recorder and the
+  // live contents exactly as they were.
+  ASSERT_TRUE(disk->Flush().ok());
+  ASSERT_TRUE(disk->Write(1024, AsBytes("current")).ok());
+  const std::uint64_t barriers = disk->barriers();
+  const std::size_t pending = disk->pending_writes();
+  const Bytes durable_before = disk->durable_image();
+  const std::uint64_t digest = disk->StateDigest();
+  const Bytes live_before = ReadAll(*disk);
+  auto expect_rejected = [&](ByteView blob, const std::string& what) {
+    EXPECT_EQ(disk->RestoreContents(blob).error(), Errno::kEINVAL) << what;
+    EXPECT_EQ(disk->barriers(), barriers) << what;
+    EXPECT_EQ(disk->pending_writes(), pending) << what;
+    EXPECT_TRUE(disk->durable_image() == durable_before) << what;
+    EXPECT_EQ(disk->StateDigest(), digest) << what;
+    EXPECT_TRUE(ReadAll(*disk) == live_before) << what;
+  };
+  auto put_le = [](Bytes blob, std::size_t at, std::uint64_t v,
+                   std::size_t width) {
+    for (std::size_t i = 0; i < width; ++i) {
+      blob[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    return blob;
+  };
+
+  for (std::size_t len = 0; len < snapshot.size(); ++len) {
+    expect_rejected(ByteView(snapshot).first(len),
+                    "truncated to " + std::to_string(len));
+  }
+  // The snapshot ends with its journal: a u32 count, then the one record
+  // (u64 offset, u64 length, the 7 bytes of "pending").
+  const std::size_t record_at = snapshot.size() - (8 + 8 + 7);
+  const std::size_t count_at = record_at - 4;
+  expect_rejected(put_le(snapshot, record_at, std::uint64_t{1} << 40, 8),
+                  "offset far past the image");
+  expect_rejected(put_le(snapshot, record_at, 4096 - 3, 8),
+                  "record overrunning the image end");
+  expect_rejected(put_le(snapshot, count_at, 0xffffffffu, 4),
+                  "absurd record count");
+  auto bigger = MakeDisk(8192);
+  ASSERT_TRUE(bigger->Write(0, AsBytes("x")).ok());
+  expect_rejected(bigger->SnapshotContents(), "well-formed, wrong size");
 }
 
 TEST(CrashableDiskTest, MarkCleanCommitsWithoutBarrier) {
@@ -199,6 +246,267 @@ TEST(CrashableDiskTest, StateDigestSeesPendingWrites) {
   ASSERT_TRUE(disk->Flush().ok());
   // Committing changes the durable image, so the digest moves again.
   EXPECT_NE(disk->StateDigest(), dirty);
+}
+
+// --- Differential: chunk-digest dedup vs whole-image MD5 -----------------
+//
+// A test-local reference recorder keeps its own durable image and journal,
+// materializes every candidate of the exhaustive enumeration (prefixes in
+// length order, or subsets in mask order), and dedups by MD5 of each full
+// image. The recorder must return the same states, applied lists and
+// images. Journals stay at most 6 writes long, so max_states = 64 keeps
+// both barrier models exhaustive.
+
+constexpr std::size_t kMaxPending = 6;
+
+class ReferenceRecorder {
+ public:
+  explicit ReferenceRecorder(Bytes durable) : durable_(std::move(durable)) {}
+
+  void Record(std::uint64_t offset, ByteView after) {
+    journal_.emplace_back(offset, Bytes(after.begin(), after.end()));
+  }
+  void Barrier() {
+    std::vector<std::size_t> all(journal_.size());
+    for (std::size_t i = 0; i < all.size(); ++i) all[i] = i;
+    durable_ = Image(all);
+    journal_.clear();
+  }
+  std::size_t pending() const { return journal_.size(); }
+
+  std::vector<CrashState> Enumerate(BarrierModel model) const {
+    const std::size_t n = journal_.size();
+    std::vector<std::vector<std::size_t>> candidates;
+    if (model == BarrierModel::kOrdered) {
+      for (std::size_t k = 0; k <= n; ++k) {
+        candidates.emplace_back();
+        for (std::size_t i = 0; i < k; ++i) candidates.back().push_back(i);
+      }
+    } else {
+      for (std::size_t mask = 0; mask < (std::size_t{1} << n); ++mask) {
+        candidates.emplace_back();
+        for (std::size_t i = 0; i < n; ++i) {
+          if ((mask >> i) & 1) candidates.back().push_back(i);
+        }
+      }
+    }
+    std::set<Md5Digest> seen;
+    std::vector<CrashState> states;
+    for (const auto& applied : candidates) {
+      CrashState st;
+      st.image = Image(applied);
+      if (!seen.insert(Md5::Hash(st.image)).second) continue;
+      st.applied = applied;
+      st.pending_total = n;
+      states.push_back(std::move(st));
+    }
+    return states;
+  }
+
+ private:
+  Bytes Image(const std::vector<std::size_t>& applied) const {
+    Bytes image = durable_;
+    for (std::size_t idx : applied) {
+      const auto& [offset, after] = journal_[idx];
+      std::copy(after.begin(), after.end(), image.begin() + offset);
+    }
+    return image;
+  }
+
+  Bytes durable_;
+  std::vector<std::pair<std::uint64_t, Bytes>> journal_;
+};
+
+void ExpectMatchesReference(const CrashableDisk& disk,
+                            const ReferenceRecorder& ref,
+                            const std::string& where) {
+  for (BarrierModel model :
+       {BarrierModel::kOrdered, BarrierModel::kReorderable}) {
+    CrashStateOptions opts;
+    opts.barrier_model = model;
+    opts.max_states = 64;
+    const auto got = disk.EnumerateCrashStates(opts);
+    const auto want = ref.Enumerate(model);
+    const std::string what =
+        where + (model == BarrierModel::kOrdered ? " ordered" : " reorder");
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      EXPECT_EQ(got[i].applied, want[i].applied) << what << " #" << i;
+      EXPECT_TRUE(got[i].image == want[i].image) << what << " #" << i;
+      EXPECT_EQ(got[i].pending_total, want[i].pending_total) << what;
+    }
+  }
+}
+
+Bytes RandomBytes(Rng& rng, std::size_t len) {
+  Bytes out(len);
+  for (auto& b : out) b = static_cast<std::uint8_t>(rng.Next());
+  return out;
+}
+
+// Also pins the digest contracts at every step: a snapshot round trip
+// keeps StateDigest(), and so does a twin recorder fed the same writes
+// and barriers.
+void ExpectDigestContracts(CrashableDisk& disk, const CrashableDisk& twin,
+                           const std::string& where) {
+  const std::uint64_t digest = disk.StateDigest();
+  EXPECT_EQ(twin.StateDigest(), digest) << where;
+  ASSERT_TRUE(disk.RestoreContents(disk.SnapshotContents()).ok()) << where;
+  EXPECT_EQ(disk.StateDigest(), digest) << where;
+}
+
+TEST(CrashableDiskDifferential, BlockJournalsMatchFullImageDedup) {
+  // Six full chunks plus a partial one, so the last chunk is short.
+  constexpr std::uint64_t kBytes = 6 * CrashableDisk::kChunkBytes + 512;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    Rng rng(seed);
+    auto disk = MakeDisk(kBytes);
+    auto twin = MakeDisk(kBytes);
+    ReferenceRecorder ref(disk->durable_image());
+    std::vector<std::pair<std::uint64_t, Bytes>> in_flight;  // since barrier
+    Bytes mid_snapshot;
+    std::uint64_t mid_digest = 0;
+    ReferenceRecorder mid_ref = ref;
+    for (int step = 0; step < 40; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const std::uint64_t pick = rng.Below(100);
+      if (pick < 15 || ref.pending() == kMaxPending) {
+        ASSERT_TRUE(disk->Flush().ok());
+        ASSERT_TRUE(twin->Flush().ok());
+        ref.Barrier();
+        in_flight.clear();
+      } else {
+        std::uint64_t offset = 0;
+        Bytes data;
+        if (pick < 30 && !in_flight.empty()) {
+          // Identical rewrite of an earlier in-flight write.
+          std::tie(offset, data) = in_flight[rng.Below(in_flight.size())];
+        } else if (pick < 50 && !in_flight.empty()) {
+          // Overlaps an earlier in-flight write, shifted by a few bytes.
+          const auto& prev = in_flight[rng.Below(in_flight.size())];
+          offset = std::min<std::uint64_t>(prev.first + rng.Below(64),
+                                           kBytes - 1);
+          data = RandomBytes(rng, 1 + rng.Below(std::min<std::uint64_t>(
+                                          prev.second.size() + 64,
+                                          kBytes - offset)));
+        } else if (pick < 60) {
+          // Writes back the durable bytes: alone, it leaves the image
+          // as if nothing were applied.
+          offset = rng.Below(kBytes);
+          const std::uint64_t len = 1 + rng.Below(kBytes - offset);
+          const Bytes& durable = disk->durable_image();
+          data.assign(durable.begin() + offset,
+                      durable.begin() + offset + len);
+        } else {
+          offset = rng.Below(kBytes);
+          data = RandomBytes(
+              rng, 1 + rng.Below(std::min<std::uint64_t>(
+                           2 * CrashableDisk::kChunkBytes, kBytes - offset)));
+        }
+        ASSERT_TRUE(disk->Write(offset, data).ok()) << where;
+        ASSERT_TRUE(twin->Write(offset, data).ok()) << where;
+        ref.Record(offset, data);
+        in_flight.emplace_back(offset, data);
+      }
+      ExpectMatchesReference(*disk, ref, where);
+      ExpectDigestContracts(*disk, *twin, where);
+      if (step == 20) {
+        mid_snapshot = disk->SnapshotContents();
+        mid_digest = disk->StateDigest();
+        mid_ref = ref;
+      }
+    }
+    // Rolling back to the mid-run snapshot restores its digest and its
+    // crash states.
+    ASSERT_TRUE(disk->RestoreContents(mid_snapshot).ok());
+    EXPECT_EQ(disk->StateDigest(), mid_digest);
+    ExpectMatchesReference(*disk, mid_ref, "rolled back");
+  }
+}
+
+// One MTD stack with the recorder attached as its write observer.
+struct MtdStack {
+  explicit MtdStack(std::uint64_t bytes, MtdOptions options)
+      : mtd(std::make_shared<MtdDevice>("mtd0", bytes, nullptr, options)),
+        crash(std::make_shared<CrashableDisk>(
+            std::make_shared<MtdBlockShim>(mtd))) {
+    crash->AttachMtd(mtd);
+  }
+  std::shared_ptr<MtdDevice> mtd;
+  std::shared_ptr<CrashableDisk> crash;
+};
+
+TEST(CrashableDiskDifferential, MtdJournalsMatchFullImageDedup) {
+  MtdOptions options;
+  options.erase_block_size = 2 * CrashableDisk::kChunkBytes;
+  constexpr std::uint64_t kBytes = 4 * 2 * CrashableDisk::kChunkBytes;
+  for (std::uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    MtdStack live(kBytes, options);
+    MtdStack twin(kBytes, options);
+    ReferenceRecorder ref(live.crash->durable_image());
+    Bytes mid_snapshot;
+    std::uint64_t mid_digest = 0;
+    ReferenceRecorder mid_ref = ref;
+    // Runs one raw flash mutation on both stacks and journals its
+    // post-image in the reference, as the observer hook sees it.
+    auto program = [&](std::uint64_t offset, const Bytes& data) {
+      ASSERT_TRUE(live.mtd->Program(offset, data).ok());
+      ASSERT_TRUE(twin.mtd->Program(offset, data).ok());
+      Bytes after(data.size());
+      ASSERT_TRUE(live.mtd->Read(offset, after).ok());
+      ref.Record(offset, after);
+    };
+    auto erase = [&](std::uint32_t block) {
+      ASSERT_TRUE(live.mtd->EraseBlock(block).ok());
+      ASSERT_TRUE(twin.mtd->EraseBlock(block).ok());
+      ref.Record(std::uint64_t{block} * options.erase_block_size,
+                 Bytes(options.erase_block_size, 0xff));
+    };
+    for (int step = 0; step < 40; ++step) {
+      const std::string where =
+          "seed " + std::to_string(seed) + " step " + std::to_string(step);
+      const std::uint64_t pick = rng.Below(100);
+      const std::uint64_t offset = rng.Below(kBytes);
+      const std::uint64_t len =
+          1 + rng.Below(std::min<std::uint64_t>(6000, kBytes - offset));
+      Bytes current(len);
+      ASSERT_TRUE(live.mtd->Read(offset, current).ok());
+      if (pick < 15 || ref.pending() + 1 >= kMaxPending) {
+        ASSERT_TRUE(live.mtd->Flush().ok());
+        ASSERT_TRUE(twin.mtd->Flush().ok());
+        ref.Barrier();
+      } else if (pick < 40) {
+        // Erase + program pair inside one erase block.
+        const auto block = static_cast<std::uint32_t>(
+            offset / options.erase_block_size);
+        const std::uint64_t start =
+            std::uint64_t{block} * options.erase_block_size;
+        erase(block);
+        program(start + rng.Below(64),
+                RandomBytes(rng, 1 + rng.Below(3000)));
+      } else if (pick < 55) {
+        program(offset, current);  // identical rewrite: clears no bit
+      } else {
+        // Flash programs only clear bits: keep a random subset of them.
+        Bytes data = RandomBytes(rng, len);
+        for (std::size_t i = 0; i < len; ++i) data[i] &= current[i];
+        program(offset, data);
+      }
+      if (HasFatalFailure()) return;
+      ExpectMatchesReference(*live.crash, ref, where);
+      ExpectDigestContracts(*live.crash, *twin.crash, where);
+      if (step == 20) {
+        mid_snapshot = live.crash->SnapshotContents();
+        mid_digest = live.crash->StateDigest();
+        mid_ref = ref;
+      }
+    }
+    ASSERT_TRUE(live.crash->RestoreContents(mid_snapshot).ok());
+    EXPECT_EQ(live.crash->StateDigest(), mid_digest);
+    ExpectMatchesReference(*live.crash, mid_ref, "rolled back");
+  }
 }
 
 // --- MTD observer path ---------------------------------------------------

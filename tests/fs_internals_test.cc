@@ -451,11 +451,41 @@ TEST(Jffs2Internals, TornTailIsIgnoredOnReplay) {
   ASSERT_TRUE(mtd->Program(head, garbage).ok());
 
   ASSERT_TRUE(fs.Mount().ok());  // replay must stop at the torn node
+  // ...and append over it: an all-zero header (type, seq, len) with a
+  // zero CRC must not check, or the head moves past the torn node.
+  EXPECT_EQ(fs.log_head(), head);
   auto fd = fs.Open("/good", kRdOnly, 0);
   ASSERT_TRUE(fd.ok());
   auto data = fs.Read(fd.value(), 0, 100);
   ASSERT_TRUE(data.ok());
   EXPECT_EQ(AsString(data.value()), "intact");
+}
+
+TEST(Jffs2Internals, CorruptSeqFieldEndsReplay) {
+  auto mtd = MakeMtd(1024 * 1024);
+  Jffs2Fs fs(mtd);
+  ASSERT_TRUE(fs.Mkfs().ok());
+  ASSERT_TRUE(fs.Mount().ok());
+  WriteAll(fs, "/good", "intact");  // created 0644
+  const std::uint64_t last_node = fs.log_head();
+  ASSERT_TRUE(fs.Chmod("/good", 0600).ok());  // exactly one inode node
+  ASSERT_GT(fs.log_head(), last_node);
+  ASSERT_TRUE(fs.Unmount().ok());
+
+  // Clear one bit (flash can only clear bits) of the last node's seq,
+  // which follows its magic u32 and type u8.
+  const std::uint64_t seq_lo = last_node + 5;
+  std::uint8_t byte = 0;
+  ASSERT_TRUE(mtd->Read(seq_lo, std::span<std::uint8_t>(&byte, 1)).ok());
+  ASSERT_NE(byte, 0);
+  const Bytes flipped = {static_cast<std::uint8_t>(byte & (byte - 1))};
+  ASSERT_TRUE(mtd->Program(seq_lo, flipped).ok());
+
+  ASSERT_TRUE(fs.Mount().ok());  // replay must stop before that node
+  EXPECT_EQ(fs.log_head(), last_node);
+  auto attr = fs.GetAttr("/good");
+  ASSERT_TRUE(attr.ok());
+  EXPECT_EQ(attr.value().mode & 0777, 0644u);
 }
 
 // ---------------------------------------------------------------------------

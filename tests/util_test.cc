@@ -1,10 +1,11 @@
-// Unit tests for the util layer: MD5 (against RFC 1321 vectors), Result,
-// byte serialization, deterministic RNG, and the simulated clock.
+// Unit tests for the util layer: MD5 (against RFC 1321 vectors), CRC-32,
+// Result, byte serialization, deterministic RNG, and the simulated clock.
 #include <gtest/gtest.h>
 
 #include <limits>
 
 #include "util/bytes.h"
+#include "util/crc32.h"
 #include "util/md5.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -75,6 +76,49 @@ TEST(Md5Test, UpdateU64IsLittleEndianAndOrderSensitive) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC-32: the standard check values, and the slice-by-8 path against a
+// bit-at-a-time reference at every length and alignment it splits on.
+
+std::uint32_t BitwiseCrc32(ByteView data) {
+  std::uint32_t crc = 0xffffffffu;
+  for (std::uint8_t b : data) {
+    crc ^= b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc & 1) != 0 ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+    }
+  }
+  return ~crc;
+}
+
+TEST(Crc32Test, MatchesCheckValues) {
+  EXPECT_EQ(Crc32(AsBytes("")), 0u);
+  EXPECT_EQ(Crc32(AsBytes("a")), 0xe8b7be43u);
+  EXPECT_EQ(Crc32(AsBytes("123456789")), 0xcbf43926u);
+  EXPECT_EQ(Crc32(AsBytes("The quick brown fox jumps over the lazy dog")),
+            0x414fa339u);
+  // Zero runs do not check as zero (zlib conditioning).
+  EXPECT_NE(Crc32(Bytes(13, 0)), 0u);
+}
+
+TEST(Crc32Test, SliceBy8MatchesBitwiseAndChains) {
+  Bytes data(67);
+  for (std::size_t i = 0; i < data.size(); ++i) {
+    data[i] = static_cast<std::uint8_t>(i * 37 + 11);
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; start + len <= data.size(); ++len) {
+      const ByteView piece = ByteView(data).subspan(start, len);
+      EXPECT_EQ(Crc32(piece), BitwiseCrc32(piece)) << start << "+" << len;
+    }
+  }
+  const ByteView all(data);
+  for (std::size_t cut = 0; cut <= all.size(); ++cut) {
+    EXPECT_EQ(Crc32(all.subspan(cut), Crc32(all.first(cut))), Crc32(all))
+        << "cut " << cut;
+  }
+}
+
+// ---------------------------------------------------------------------------
 // Result / Status
 
 TEST(ResultTest, HoldsValueOrError) {
@@ -140,6 +184,24 @@ TEST(BytesTest, TruncatedInputThrows) {
   ByteReader r(w.bytes());
   EXPECT_EQ(r.GetU16(), 7);  // partial read is fine
   EXPECT_THROW(r.GetU32(), std::out_of_range);
+}
+
+// A hostile length near SIZE_MAX must not wrap the bounds check: pos +
+// n overflowing to a small number used to pass it and hand back a span
+// (or allocate a blob) of that length.
+TEST(BytesTest, HostileLengthsThrowInsteadOfWrapping) {
+  const Bytes data(16, 0x5a);
+  ByteReader r(data);
+  (void)r.GetBytes(3);
+  EXPECT_THROW(r.GetBytes(std::numeric_limits<std::size_t>::max() - 2),
+               std::out_of_range);
+  EXPECT_EQ(r.remaining(), 13u);  // a failed read consumes nothing
+
+  ByteWriter w;
+  w.PutU64(std::numeric_limits<std::uint64_t>::max() - 7);  // blob length
+  w.PutU64(0);
+  ByteReader blob(w.bytes());
+  EXPECT_THROW(blob.GetBlob(), std::out_of_range);
 }
 
 TEST(BytesTest, EmptyStringAndBlob) {
