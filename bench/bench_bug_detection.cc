@@ -15,7 +15,7 @@
 #include <cstdio>
 #include <vector>
 
-#include "mcfs/harness.h"
+#include "mcfs/shrink.h"
 
 namespace {
 
@@ -77,13 +77,9 @@ void RunBugCase(benchmark::State& state, const std::string& name,
         // operations... simplifying reproducibility", §2), sharpened.
         SyscallEngine& engine = mcfs.value()->engine();
         row.raw_ops = engine.trace().size();
-        const EngineOptions& eff = engine.options();
         ShrinkOptions shrink;
-        shrink.replay.checker = eff.checker;
-        shrink.replay.compare_states = eff.compare_states;
-        shrink.replay.abstraction = eff.abstraction;
         shrink.max_replays = 4'000;
-        TraceMinimizer minimizer(MakeMcfsReplayFactory(config), shrink);
+        TraceMinimizer minimizer(config, shrink);
         ShrinkReport sr;
         bool shrunk = false;
         // Trail first (tiny, snapshot-free); raw linear history as the

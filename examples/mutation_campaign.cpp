@@ -9,7 +9,8 @@
 // and the campaign reports both kill rates plus a machine-readable JSON
 // artifact with per-axis columns (`killed_by: "spec"` marks bugs only
 // the absolute oracle could see). Exits nonzero if any mutant expected
-// to be detected survived either axis.
+// to be detected survived either axis, or (with minimization on) if any
+// detection's reproducer failed to replay-confirm.
 //
 //   ./mutation_campaign [--list] [--mutant=NAME]... [--crash-only]
 //                       [--out=FILE] [--ops=N] [--depth=N] [--seeds=N]
@@ -95,5 +96,24 @@ int main(int argc, char** argv) {
     std::printf("JSON report written to %s\n", out_path.c_str());
   }
 
-  return report.missed.empty() && report.spec_missed.empty() ? 0 : 1;
+  // A reproducer that does not replay is no reproducer: fail the run.
+  std::vector<std::string> unconfirmed;
+  if (options.minimize) {
+    for (const MutantOutcome& o : report.outcomes) {
+      if ((o.relative.detected && !o.relative.replay_confirmed) ||
+          (o.spec.detected && !o.spec.replay_confirmed)) {
+        unconfirmed.push_back(o.name);
+      }
+    }
+  }
+  if (!unconfirmed.empty()) {
+    std::printf("not replay-confirmed:");
+    for (const auto& name : unconfirmed) std::printf(" %s", name.c_str());
+    std::printf("\n");
+  }
+
+  return report.missed.empty() && report.spec_missed.empty() &&
+                 unconfirmed.empty()
+             ? 0
+             : 1;
 }

@@ -11,7 +11,7 @@
 #
 # Extra args go straight to examples/mutation_campaign (e.g. `--seeds=2`
 # or `--ops=2000` to narrow a run). Exits nonzero if any crash mutant
-# survived.
+# survived or its minimized reproducer failed to replay-confirm.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

@@ -12,7 +12,8 @@
 # Extra args go straight to examples/mutation_campaign (e.g.
 # `--mutant=stat_size_off_by_one --seeds=2` to narrow a run, `--list`
 # to print the corpus, `--no-spec` to skip the spec axis). Exits nonzero
-# if any mutant expected to be detected survived either axis.
+# if any mutant expected to be detected survived either axis, or if any
+# detection's minimized reproducer failed to replay-confirm.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"

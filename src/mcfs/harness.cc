@@ -5,6 +5,9 @@
 #include <cstdlib>
 #include <functional>
 #include <sstream>
+#include <unordered_map>
+
+#include "mcfs/shrink.h"
 
 namespace mcfs::core {
 
@@ -69,51 +72,48 @@ McfsReport Mcfs::Run() {
   return report;
 }
 
-namespace {
-
-// ReplayPair over a full Mcfs stack; snapshot records go through both
-// sides' FsUnderTest strategies with the recorded keys.
-class McfsReplayPair final : public ReplayPair {
- public:
-  explicit McfsReplayPair(std::unique_ptr<Mcfs> mcfs)
-      : mcfs_(std::move(mcfs)) {}
-
-  vfs::Vfs& a() override { return mcfs_->fs_a().vfs(); }
-  vfs::Vfs& b() override { return mcfs_->fs_b().vfs(); }
-
-  Status Save(std::uint64_t key) override {
-    if (Status s = mcfs_->fs_a().SaveState(key); !s.ok()) return s;
-    if (Status s = mcfs_->fs_b().SaveState(key); !s.ok()) return s;
-    mcfs_->engine().CrashSaveState(key);
-    return Status::Ok();
-  }
-  Status Restore(std::uint64_t key) override {
-    if (Status s = mcfs_->fs_a().RestoreState(key); !s.ok()) return s;
-    if (Status s = mcfs_->fs_b().RestoreState(key); !s.ok()) return s;
-    return mcfs_->engine().CrashRestoreState(key);
-  }
-
-  // Crash-mode replays feed the same oracles the live search used.
-  void ObserveOp(const Operation& op, const OpOutcome& a,
-                 const OpOutcome& b) override {
-    mcfs_->engine().CrashObserveOp(op, a, b);
-  }
-  std::string CrashCheck() override {
-    return mcfs_->engine().CrashCheckDetail();
-  }
-
- private:
-  std::unique_ptr<Mcfs> mcfs_;
-};
-
-}  // namespace
-
-ReplayPairFactory MakeMcfsReplayFactory(McfsConfig config) {
-  return [config]() -> std::unique_ptr<ReplayPair> {
-    auto mcfs = Mcfs::Create(config);
-    if (!mcfs.ok()) return nullptr;
-    return std::make_unique<McfsReplayPair>(std::move(mcfs).value());
+ReplayResult Mcfs::Replay(const Trace& trace) {
+  ReplayResult result;
+  const auto& records = trace.records();
+  auto stop = [&result](std::size_t i, Errno error) {
+    // Infrastructure failure (e.g. a restore whose checkpoint ddmin
+    // deleted): the trace does not reproduce.
+    result.detail = "replay stopped at record " + std::to_string(i) + ": " +
+                    std::string(ErrnoName(error));
+    return result;
   };
+  (void)engine_->AbstractHash();  // the explorer's root visit
+  std::unordered_map<std::uint64_t, mc::SnapshotId> snapshots;
+  for (std::size_t i = 0; i < records.size(); ++i) {
+    const Operation& op = records[i].op;
+    if (op.kind == OpKind::kCheckpoint) {
+      auto id = engine_->SaveConcrete();
+      if (!id.ok()) return stop(i, id.error());
+      snapshots.insert_or_assign(op.offset, id.value());
+      continue;
+    }
+    if (op.kind == OpKind::kRestore) {
+      const auto it = snapshots.find(op.offset);
+      if (it == snapshots.end()) return stop(i, Errno::kENOENT);
+      if (Status s = engine_->RestoreConcrete(it->second); !s.ok()) {
+        return stop(i, s.error());
+      }
+      continue;
+    }
+    Status s = engine_->Apply(op);
+    if (s.ok() && !engine_->violation_detected() &&
+        config_.explore.crash_mode == mc::CrashMode::kEveryOp) {
+      s = engine_->CrashCheck();
+    }
+    if (!s.ok()) return stop(i, s.error());
+    if (engine_->violation_detected()) {
+      result.reproduced = true;
+      result.violation_index = i;
+      result.detail = engine_->violation_report();
+      return result;
+    }
+  }
+  return result;
 }
 
 Result<Trace> TraceFromTrail(const SyscallEngine& engine,
@@ -279,21 +279,6 @@ McfsConfig SpecMutantCampaignConfig(const verifs::Mutant& mutant,
 
 namespace {
 
-// One campaign axis for one mutant: explore the seeds in order until a
-// run detects, then shrink + replay-confirm the detecting trace.
-struct AxisResult {
-  bool detected = false;
-  std::uint64_t seed = 0;
-  std::uint64_t ops_to_detect = 0;
-  std::size_t raw_trace_ops = 0;
-  std::size_t minimized_ops = 0;
-  bool replay_confirmed = false;
-  bool one_minimal = false;
-  std::size_t shrink_replays = 0;
-  std::string violation;
-  std::string minimized_trace;
-};
-
 AxisResult RunCampaignAxis(
     const std::function<McfsConfig(std::uint64_t)>& config_for_seed,
     const MutationCampaignOptions& options) {
@@ -318,17 +303,9 @@ AxisResult RunCampaignAxis(
     out.minimized_ops = raw.size();
 
     if (options.minimize) {
-      // Replay with the engine's *effective* options (special-path
-      // exception lists included) so the shrink judges candidates by
-      // the same rules the detecting run used.
-      const EngineOptions& eff = mcfs.value()->engine().options();
       ShrinkOptions shrink;
-      shrink.replay.checker = eff.checker;
-      shrink.replay.compare_states = eff.compare_states;
-      shrink.replay.abstraction = eff.abstraction;
-      shrink.replay.crash_checks = eff.crash.enabled;
       shrink.max_replays = options.max_replays;
-      TraceMinimizer minimizer(MakeMcfsReplayFactory(config), shrink);
+      TraceMinimizer minimizer(config, shrink);
       auto adopt = [&out](const Trace& t, const ShrinkReport& sr) {
         out.minimized_ops = sr.final_ops;
         out.replay_confirmed = sr.replay_confirmed;
@@ -382,48 +359,31 @@ MutationCampaignReport RunMutationCampaign(
     outcome.crash = mutant.crash;
     outcome.dual = mutant.dual;
 
-    const AxisResult rel = RunCampaignAxis(
+    outcome.relative = RunCampaignAxis(
         [&](std::uint64_t seed) {
           return MutantCampaignConfig(mutant, options, seed);
         },
         options);
-    outcome.detected = rel.detected;
-    outcome.seed = rel.seed;
-    outcome.ops_to_detect = rel.ops_to_detect;
-    outcome.raw_trace_ops = rel.raw_trace_ops;
-    outcome.minimized_ops = rel.minimized_ops;
-    outcome.replay_confirmed = rel.replay_confirmed;
-    outcome.one_minimal = rel.one_minimal;
-    outcome.shrink_replays = rel.shrink_replays;
-    outcome.violation = rel.violation;
-    outcome.minimized_trace = rel.minimized_trace;
-    if (rel.detected) {
+    if (outcome.relative.detected) {
       // The crash axis: did the persistence oracle kill it, or did the
       // live differential check get there first?
-      outcome.killed_by =
-          outcome.violation.rfind("crash:", 0) == 0 ? "crash" : "live";
+      outcome.killed_by = outcome.relative.violation.rfind("crash:", 0) == 0
+                              ? "crash"
+                              : "live";
     }
 
     // Second axis: absolute 2-way against the executable spec. Crash
     // mutants are exempt — the spec has no device and no crash mode.
     if (options.spec_axis && !mutant.crash) {
       outcome.spec_ran = true;
-      const AxisResult spec = RunCampaignAxis(
+      outcome.spec = RunCampaignAxis(
           [&](std::uint64_t seed) {
             return SpecMutantCampaignConfig(mutant, options, seed);
           },
           options);
-      outcome.spec_detected = spec.detected;
-      outcome.spec_seed = spec.seed;
-      outcome.spec_ops_to_detect = spec.ops_to_detect;
-      outcome.spec_raw_trace_ops = spec.raw_trace_ops;
-      outcome.spec_minimized_ops = spec.minimized_ops;
-      outcome.spec_replay_confirmed = spec.replay_confirmed;
-      outcome.spec_one_minimal = spec.one_minimal;
-      outcome.spec_shrink_replays = spec.shrink_replays;
-      outcome.spec_violation = spec.violation;
-      outcome.spec_minimized_trace = spec.minimized_trace;
-      if (!outcome.detected && spec.detected) outcome.killed_by = "spec";
+      if (!outcome.relative.detected && outcome.spec.detected) {
+        outcome.killed_by = "spec";
+      }
     }
     report.outcomes.push_back(std::move(outcome));
   }
@@ -431,17 +391,17 @@ MutationCampaignReport RunMutationCampaign(
   for (const MutantOutcome& o : report.outcomes) {
     if (o.expect_detected) {
       ++report.expected_detections;
-      if (o.detected) {
+      if (o.relative.detected) {
         ++report.detections;
       } else {
         report.missed.push_back(o.name);
       }
-    } else if (o.detected) {
+    } else if (o.relative.detected) {
       report.unexpected.push_back(o.name);
     }
     if (o.spec_ran && (o.expect_detected || o.dual)) {
       ++report.spec_expected_detections;
-      if (o.spec_detected) {
+      if (o.spec.detected) {
         ++report.spec_detections;
       } else {
         report.spec_missed.push_back(o.name);
@@ -491,6 +451,21 @@ const char* JsonBool(bool b) { return b ? "true" : "false"; }
 
 std::string MutationCampaignReport::ToJson() const {
   std::ostringstream out;
+  // One axis's columns, keys prefixed ("" or "spec_").
+  auto axis = [&out](const char* p, const AxisResult& a) {
+    out << " \"" << p << "detected\": " << JsonBool(a.detected) << ","
+        << " \"" << p << "seed\": " << a.seed << ","
+        << " \"" << p << "ops_to_detect\": " << a.ops_to_detect << ","
+        << " \"" << p << "raw_trace_ops\": " << a.raw_trace_ops << ","
+        << " \"" << p << "minimized_ops\": " << a.minimized_ops << ","
+        << " \"" << p << "replay_confirmed\": "
+        << JsonBool(a.replay_confirmed) << ","
+        << " \"" << p << "one_minimal\": " << JsonBool(a.one_minimal)
+        << ","
+        << " \"" << p << "shrink_replays\": " << a.shrink_replays << ","
+        << " \"" << p << "violation\": \"" << JsonEscape(a.violation)
+        << "\",";
+  };
   out << "{\n  \"mutants\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const MutantOutcome& o = outcomes[i];
@@ -499,33 +474,16 @@ std::string MutationCampaignReport::ToJson() const {
         << " \"expect_detected\": " << JsonBool(o.expect_detected) << ","
         << " \"crash\": " << JsonBool(o.crash) << ","
         << " \"dual\": " << JsonBool(o.dual) << ","
-        << " \"killed_by\": \"" << JsonEscape(o.killed_by) << "\","
-        << " \"detected\": " << JsonBool(o.detected) << ","
-        << " \"seed\": " << o.seed << ","
-        << " \"ops_to_detect\": " << o.ops_to_detect << ","
-        << " \"raw_trace_ops\": " << o.raw_trace_ops << ","
-        << " \"minimized_ops\": " << o.minimized_ops << ","
-        << " \"replay_confirmed\": " << JsonBool(o.replay_confirmed) << ","
-        << " \"one_minimal\": " << JsonBool(o.one_minimal) << ","
-        << " \"shrink_replays\": " << o.shrink_replays << ","
-        << " \"violation\": \"" << JsonEscape(o.violation) << "\","
-        << " \"hint\": \"" << JsonEscape(o.hint) << "\","
-        << " \"minimized_trace\": \"" << JsonEscape(o.minimized_trace)
-        << "\","
-        << " \"spec_ran\": " << JsonBool(o.spec_ran) << ","
-        << " \"spec_detected\": " << JsonBool(o.spec_detected) << ","
-        << " \"spec_seed\": " << o.spec_seed << ","
-        << " \"spec_ops_to_detect\": " << o.spec_ops_to_detect << ","
-        << " \"spec_raw_trace_ops\": " << o.spec_raw_trace_ops << ","
-        << " \"spec_minimized_ops\": " << o.spec_minimized_ops << ","
-        << " \"spec_replay_confirmed\": "
-        << JsonBool(o.spec_replay_confirmed) << ","
-        << " \"spec_one_minimal\": " << JsonBool(o.spec_one_minimal) << ","
-        << " \"spec_shrink_replays\": " << o.spec_shrink_replays << ","
-        << " \"spec_violation\": \"" << JsonEscape(o.spec_violation) << "\","
-        << " \"spec_minimized_trace\": \""
-        << JsonEscape(o.spec_minimized_trace)
-        << "\"}" << (i + 1 < outcomes.size() ? "," : "") << "\n";
+        << " \"killed_by\": \"" << JsonEscape(o.killed_by) << "\",";
+    axis("", o.relative);
+    out << " \"hint\": \"" << JsonEscape(o.hint) << "\","
+        << " \"minimized_trace\": \""
+        << JsonEscape(o.relative.minimized_trace) << "\","
+        << " \"spec_ran\": " << JsonBool(o.spec_ran) << ",";
+    axis("spec_", o.spec);
+    out << " \"spec_minimized_trace\": \""
+        << JsonEscape(o.spec.minimized_trace) << "\"}"
+        << (i + 1 < outcomes.size() ? "," : "") << "\n";
   }
   out << "  ],\n";
   out << "  \"expected_detections\": " << expected_detections << ",\n";
@@ -561,30 +519,35 @@ std::string MutationCampaignReport::ToJson() const {
 
 std::string MutationCampaignReport::Summary() const {
   std::ostringstream out;
+  // "(seed S, N ops to detect, trace R -> M ops" for one axis.
+  auto kill = [&out](const AxisResult& a) {
+    out << "(seed " << a.seed << ", " << a.ops_to_detect
+        << " ops to detect, trace " << a.raw_trace_ops << " -> "
+        << a.minimized_ops << " ops";
+  };
+  auto certificates = [&out](const AxisResult& a) {
+    if (a.replay_confirmed) out << ", replay-confirmed";
+    if (a.one_minimal) out << ", 1-minimal";
+    out << ")";
+  };
   for (const MutantOutcome& o : outcomes) {
-    out << (o.detected ? "KILLED   " : o.expect_detected ? "MISSED   "
-                                                         : "SURVIVED ")
+    const AxisResult& rel = o.relative;
+    out << (rel.detected ? "KILLED   " : o.expect_detected ? "MISSED   "
+                                                           : "SURVIVED ")
         << o.name;
-    if (o.detected) {
-      out << "  (seed " << o.seed << ", " << o.ops_to_detect
-          << " ops to detect, trace " << o.raw_trace_ops << " -> "
-          << o.minimized_ops << " ops";
+    if (rel.detected) {
+      out << "  ";
+      kill(rel);
       if (!o.killed_by.empty()) out << ", killed by " << o.killed_by;
-      if (o.replay_confirmed) out << ", replay-confirmed";
-      if (o.one_minimal) out << ", 1-minimal";
-      out << ")";
-    } else if (!o.spec_ran || !o.spec_detected) {
+      certificates(rel);
+    } else if (!o.spec_ran || !o.spec.detected) {
       out << "  (" << o.hint << ")";
     }
     if (o.spec_ran) {
-      if (o.spec_detected) {
-        out << "\n         spec axis: KILLED (seed " << o.spec_seed << ", "
-            << o.spec_ops_to_detect << " ops to detect, trace "
-            << o.spec_raw_trace_ops << " -> " << o.spec_minimized_ops
-            << " ops";
-        if (o.spec_replay_confirmed) out << ", replay-confirmed";
-        if (o.spec_one_minimal) out << ", 1-minimal";
-        out << ")";
+      if (o.spec.detected) {
+        out << "\n         spec axis: KILLED ";
+        kill(o.spec);
+        certificates(o.spec);
       } else {
         out << "\n         spec axis: survived";
       }

@@ -13,7 +13,6 @@
 #include "mc/memory_model.h"
 #include "mc/swarm.h"
 #include "mcfs/equalize.h"
-#include "mcfs/shrink.h"
 #include "mcfs/syscall_engine.h"
 #include "verifs/mutations.h"
 
@@ -47,6 +46,13 @@ struct McfsReport {
   std::string Summary() const;
 };
 
+// What one Mcfs::Replay saw.
+struct ReplayResult {
+  bool reproduced = false;          // a violation occurred during replay
+  std::size_t violation_index = 0;  // the record that raised it
+  std::string detail;               // its violation report
+};
+
 class Mcfs {
  public:
   // Builds both stacks (mkfs + mount) and the engine; `Create` fails if
@@ -55,6 +61,17 @@ class Mcfs {
 
   // Runs exploration per the config and reports.
   McfsReport Run();
+
+  // Replays `trace` through the engine calls the explorer makes, in its
+  // order: one root AbstractHash(), then kCheckpoint/kRestore records
+  // through SaveConcrete/RestoreConcrete (each recorded key maps to the
+  // snapshot id this engine hands out) and every operation through
+  // SyscallEngine::Apply, followed by CrashCheck() under
+  // CrashMode::kEveryOp. Stops at the first violation. A restore of an
+  // unknown key, or any engine error, ends the replay unreproduced.
+  // Replay on a freshly created stack; engine().trace() then holds what
+  // the replay observed.
+  ReplayResult Replay(const Trace& trace);
 
   SimClock& clock() { return clock_; }
   SyscallEngine& engine() { return *engine_; }
@@ -100,17 +117,8 @@ class McfsSwarmInstance final : public mc::SwarmInstance {
 mc::SwarmFactory MakeMcfsSwarmFactory(McfsConfig config);
 
 // ---------------------------------------------------------------------
-// Violation-trace replay + the mutation self-verification campaign.
+// The mutation self-verification campaign.
 // ---------------------------------------------------------------------
-
-// ReplayPairFactory backed by full Mcfs stacks: each call builds a fresh
-// pair per `config` (FUSE transport and all), and snapshot records
-// (kCheckpoint/kRestore) replay through FsUnderTest::SaveState /
-// RestoreState on both sides. This is what lets a raw engine trace —
-// which interleaves operations with the explorer's own save/restore
-// calls — replay faithfully, including bugs that only manifest across a
-// rollback.
-ReplayPairFactory MakeMcfsReplayFactory(McfsConfig config);
 
 // Rebuilds a replayable Trace from an explorer violation trail (action
 // names from the initial state, as in ExploreStats::violation_trail).
@@ -143,6 +151,22 @@ struct MutationCampaignOptions {
   bool spec_axis = true;
 };
 
+// One campaign axis for one mutant: the seeds are explored in order
+// until a run detects, then the detecting trace is shrunk and
+// replay-confirmed.
+struct AxisResult {
+  bool detected = false;
+  std::uint64_t seed = 0;           // seed of the detecting run
+  std::uint64_t ops_to_detect = 0;  // operations explored by that run
+  std::size_t raw_trace_ops = 0;    // records in the raw trace
+  std::size_t minimized_ops = 0;    // records after shrinking
+  bool replay_confirmed = false;    // minimized trace re-reproduced
+  bool one_minimal = false;
+  std::size_t shrink_replays = 0;
+  std::string violation;        // explorer's violation report
+  std::string minimized_trace;  // ToText() of the confirming replay
+};
+
 struct MutantOutcome {
   std::string name;
   std::string hint;
@@ -153,30 +177,11 @@ struct MutantOutcome {
   // "live" or "crash" when the relative axis caught it; "spec" when only
   // the spec axis did; empty when nothing killed the mutant.
   std::string killed_by;
-  bool detected = false;
-  std::uint64_t seed = 0;           // seed of the detecting run
-  std::uint64_t ops_to_detect = 0;  // operations explored by that run
-  std::size_t raw_trace_ops = 0;    // records in the raw trace
-  std::size_t minimized_ops = 0;    // records after shrinking
-  bool replay_confirmed = false;    // minimized trace re-reproduced
-  bool one_minimal = false;
-  std::size_t shrink_replays = 0;
-  std::string violation;        // explorer's violation report
-  std::string minimized_trace;  // ToText() of the shrunk trace
-  // Spec axis (mutant vs FsKind::kSpec, absolute 2-way check); same
-  // meanings as the relative fields above. spec_ran is false for crash
-  // mutants and when MutationCampaignOptions::spec_axis is off.
+  AxisResult relative;  // mutant vs its pristine twin (or dual partner)
+  // Mutant vs FsKind::kSpec, an absolute 2-way check. spec_ran is false
+  // for crash mutants and when MutationCampaignOptions::spec_axis is off.
   bool spec_ran = false;
-  bool spec_detected = false;
-  std::uint64_t spec_seed = 0;
-  std::uint64_t spec_ops_to_detect = 0;
-  std::size_t spec_raw_trace_ops = 0;
-  std::size_t spec_minimized_ops = 0;
-  bool spec_replay_confirmed = false;
-  bool spec_one_minimal = false;
-  std::size_t spec_shrink_replays = 0;
-  std::string spec_violation;
-  std::string spec_minimized_trace;
+  AxisResult spec;
 };
 
 struct MutationCampaignReport {

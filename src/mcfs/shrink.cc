@@ -70,24 +70,25 @@ std::string ShrinkReport::Summary() const {
   return out.str();
 }
 
-TraceMinimizer::TraceMinimizer(ReplayPairFactory factory,
-                               ShrinkOptions options)
-    : factory_(std::move(factory)), options_(std::move(options)) {}
+TraceMinimizer::TraceMinimizer(McfsConfig config, ShrinkOptions options)
+    : config_(std::move(config)), options_(options) {}
 
-bool TraceMinimizer::Reproduces(const Trace& t, Trace::ReplayResult* out) {
-  if (factory_failed_ || budget_exhausted_) return false;
+bool TraceMinimizer::Reproduces(const Trace& t, ReplayResult* out,
+                                Trace* observed) {
+  if (setup_failed_ || budget_exhausted_) return false;
   if (replays_ >= options_.max_replays) {
     budget_exhausted_ = true;
     return false;
   }
-  auto pair = factory_();
-  if (pair == nullptr) {
-    factory_failed_ = true;
+  auto mcfs = Mcfs::Create(config_);
+  if (!mcfs.ok()) {
+    setup_failed_ = true;
     return false;
   }
   ++replays_;
-  Trace::ReplayResult result = t.Replay(*pair, options_.replay);
+  ReplayResult result = mcfs.value()->Replay(t);
   if (out != nullptr) *out = result;
+  if (observed != nullptr) *observed = mcfs.value()->engine().trace();
   return result.reproduced;
 }
 
@@ -97,12 +98,12 @@ bool TraceMinimizer::DdminPass(Trace& trace, ShrinkReport& report) {
   // pass (n == len) removed nothing — the 1-minimality certificate.
   std::size_t n = 2;
   while (trace.size() > 1) {
-    if (budget_exhausted_ || factory_failed_) return false;
+    if (budget_exhausted_ || setup_failed_) return false;
     const std::size_t len = trace.size();
     n = std::min(n, len);
     const std::size_t chunk = (len + n - 1) / n;
     bool reduced = false;
-    Trace::ReplayResult rr;
+    ReplayResult rr;
     // Subsets: does one chunk alone reproduce?
     for (std::size_t i = 0; i < n && !reduced; ++i) {
       const std::size_t b = i * chunk;
@@ -131,24 +132,24 @@ bool TraceMinimizer::DdminPass(Trace& trace, ShrinkReport& report) {
     }
     ++report.ddmin_rounds;
     if (!reduced) {
-      if (budget_exhausted_ || factory_failed_) return false;
+      if (budget_exhausted_ || setup_failed_) return false;
       if (n >= len) return true;
       n = std::min(n * 2, len);
     }
   }
-  return !budget_exhausted_ && !factory_failed_;
+  return !budget_exhausted_ && !setup_failed_;
 }
 
 void TraceMinimizer::SimplifyParams(Trace& trace, ShrinkReport& report) {
   bool progress = true;
-  while (progress && !budget_exhausted_ && !factory_failed_) {
+  while (progress && !budget_exhausted_ && !setup_failed_) {
     progress = false;
     for (std::size_t i = 0; i < trace.size(); ++i) {
       for (const Operation& cand :
            CandidateSimplifications(trace.records()[i].op)) {
         Trace candidate = trace;
         candidate.mutable_records()[i].op = cand;
-        Trace::ReplayResult rr;
+        ReplayResult rr;
         if (Reproduces(candidate, &rr)) {
           candidate.TrimToFirst(rr.violation_index + 1);
           trace = std::move(candidate);
@@ -156,7 +157,7 @@ void TraceMinimizer::SimplifyParams(Trace& trace, ShrinkReport& report) {
           progress = true;
           break;  // record i changed (or vanished); regenerate candidates
         }
-        if (budget_exhausted_ || factory_failed_) return;
+        if (budget_exhausted_ || setup_failed_) return;
       }
     }
   }
@@ -170,15 +171,18 @@ Result<Trace> TraceMinimizer::Minimize(const Trace& input,
   rep.original_ops = input.size();
   replays_ = 0;
   budget_exhausted_ = false;
-  factory_failed_ = false;
+  setup_failed_ = false;
+  // The confirming replay's engine trace is the result, so it must hold
+  // every record the replay runs.
+  config_.engine.trace_cap = std::max(config_.engine.trace_cap, input.size());
 
   Trace trace = input;
-  Trace::ReplayResult rr;
+  ReplayResult rr;
   if (!Reproduces(trace, &rr)) {
     rep.replays = replays_;
     rep.final_ops = trace.size();
-    if (factory_failed_) return Errno::kEIO;
-    return Errno::kEINVAL;  // input does not reproduce on a fresh pair
+    if (setup_failed_) return Errno::kEIO;
+    return Errno::kEINVAL;  // input does not reproduce on a fresh stack
   }
   rep.input_reproduced = true;
   // Everything after the first reproducing violation is dead weight.
@@ -194,7 +198,7 @@ Result<Trace> TraceMinimizer::Minimize(const Trace& input,
       minimal = DdminPass(trace, rep);
     }
   }
-  if (factory_failed_) {
+  if (setup_failed_) {
     rep.replays = replays_;
     rep.final_ops = trace.size();
     return Errno::kEIO;
@@ -204,16 +208,18 @@ Result<Trace> TraceMinimizer::Minimize(const Trace& input,
   // returned trace must never claim reproduction it did not just show.
   budget_exhausted_ = false;
   options_.max_replays = std::max(options_.max_replays, replays_ + 1);
-  Trace::ReplayResult confirm;
-  if (Reproduces(trace, &confirm)) {
+  ReplayResult confirm;
+  Trace observed;
+  if (Reproduces(trace, &confirm, &observed)) {
     rep.replay_confirmed = true;
     rep.violation_index = confirm.violation_index;
     rep.detail = confirm.detail;
+    trace = std::move(observed);
   }
   rep.one_minimal = minimal && rep.replay_confirmed;
   rep.final_ops = trace.size();
   rep.replays = replays_;
-  if (factory_failed_) return Errno::kEIO;
+  if (setup_failed_) return Errno::kEIO;
   return trace;
 }
 

@@ -317,7 +317,10 @@ Status SyscallEngine::RefreshAbstractState(
 
 Status SyscallEngine::ApplyAction(std::size_t action) {
   if (action >= actions_.size()) return Errno::kEINVAL;
-  const Operation& op = actions_[action];
+  return Apply(actions_[action]);
+}
+
+Status SyscallEngine::Apply(const Operation& op) {
   const std::size_t n = members_.size();
   violation_.reset();
   cached_hash_.reset();
@@ -416,10 +419,12 @@ Result<mc::SnapshotId> SyscallEngine::SaveConcrete() {
     for (IncrementalAbstraction& inc : inc_) inc.SaveEpoch(id);
   }
   // The oracle's history must rewind with the tree it describes.
-  CrashSaveState(id);
+  for (const auto& checker : crash_) {
+    if (checker != nullptr) checker->Save(id);
+  }
   // Log the snapshot into the trace: with save/restore recorded, the raw
   // trace is a faithful linear history and stays replayable across
-  // backtracks (see Trace::Replay's ReplayPair overload).
+  // backtracks (see Mcfs::Replay).
   Operation op{.kind = OpKind::kCheckpoint, .offset = id};
   trace_.Append(op, OpOutcome{}, OpOutcome{}, /*violation=*/false);
   trace_.TrimToLast(options_.trace_cap);
@@ -438,7 +443,10 @@ Status SyscallEngine::RestoreConcrete(mc::SnapshotId id) {
   for (FsUnderTest* fut : members_) {
     if (Status s = fut->RestoreState(id); !s.ok()) return s;
   }
-  if (Status s = CrashRestoreState(id); !s.ok()) return s;
+  for (const auto& checker : crash_) {
+    if (checker == nullptr) continue;
+    if (Status s = checker->Restore(id); !s.ok()) return s;
+  }
   Operation op{.kind = OpKind::kRestore, .offset = id};
   trace_.Append(op, OpOutcome{}, OpOutcome{}, /*violation=*/false);
   trace_.TrimToLast(options_.trace_cap);
@@ -447,7 +455,9 @@ Status SyscallEngine::RestoreConcrete(mc::SnapshotId id) {
 
 Status SyscallEngine::DiscardConcrete(mc::SnapshotId id) {
   for (IncrementalAbstraction& inc : inc_) inc.DiscardEpoch(id);
-  CrashDiscardState(id);
+  for (const auto& checker : crash_) {
+    if (checker != nullptr) checker->Discard(id);
+  }
   // Every member releases its snapshot even if an earlier one failed.
   Status first = Status::Ok();
   for (FsUnderTest* fut : members_) {
@@ -480,13 +490,11 @@ void SyscallEngine::SampleSnapshotStats() {
   counters_.snapshot_exclusive_bytes = sum.exclusive_bytes;
 }
 
-bool SyscallEngine::crash_enabled() const {
-  return std::any_of(crash_.begin(), crash_.end(),
-                     [](const auto& checker) { return checker != nullptr; });
-}
-
 Status SyscallEngine::CrashCheck() {
-  if (!crash_enabled()) return Status::Ok();
+  if (std::all_of(crash_.begin(), crash_.end(),
+                  [](const auto& checker) { return checker == nullptr; })) {
+    return Status::Ok();
+  }
   if (!crash_seed_status_.ok()) return crash_seed_status_;
   ++counters_.crash_checks;
   std::uint64_t states = 0;
@@ -497,51 +505,14 @@ Status SyscallEngine::CrashCheck() {
     if (!r.value().empty() && !violation_.has_value()) {
       ++counters_.discrepancies;
       violation_ = r.value();
+      // The check follows the operation it convicts, so that operation
+      // is the newest record.
+      if (trace_.size() > 0) trace_.mutable_records().back().violation = true;
     }
     states += checker->states_checked();
   }
   counters_.crash_states_checked = states;
   return Status::Ok();
-}
-
-void SyscallEngine::CrashObserveOp(const Operation& op,
-                                   const OpOutcome& outcome_a,
-                                   const OpOutcome& outcome_b) {
-  // Replay path: an observation failure is swallowed rather than turned
-  // into a verdict — a replay must never count an infrastructure error
-  // as a reproduction, and a genuinely broken tree still surfaces
-  // through the recovered-state validation in CrashCheckDetail.
-  if (crash_[0] != nullptr) (void)crash_[0]->ObserveOp(op, outcome_a);
-  if (crash_[1] != nullptr) (void)crash_[1]->ObserveOp(op, outcome_b);
-}
-
-std::string SyscallEngine::CrashCheckDetail() {
-  for (const auto& checker : crash_) {
-    if (checker == nullptr) continue;
-    Result<std::string> r = checker->Check();
-    if (r.ok() && !r.value().empty()) return r.value();
-  }
-  return {};
-}
-
-void SyscallEngine::CrashSaveState(std::uint64_t key) {
-  for (const auto& checker : crash_) {
-    if (checker != nullptr) checker->Save(key);
-  }
-}
-
-Status SyscallEngine::CrashRestoreState(std::uint64_t key) {
-  for (const auto& checker : crash_) {
-    if (checker == nullptr) continue;
-    if (Status s = checker->Restore(key); !s.ok()) return s;
-  }
-  return Status::Ok();
-}
-
-void SyscallEngine::CrashDiscardState(std::uint64_t key) {
-  for (const auto& checker : crash_) {
-    if (checker != nullptr) checker->Discard(key);
-  }
 }
 
 }  // namespace mcfs::core

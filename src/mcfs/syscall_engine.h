@@ -93,7 +93,12 @@ class SyscallEngine final : public mc::System {
   // mc::System.
   std::size_t ActionCount() const override { return actions_.size(); }
   std::string ActionName(std::size_t action) const override;
+  // Apply(actions()[action]).
   Status ApplyAction(std::size_t action) override;
+  // Issues `op` to every member and runs the checks: the step every
+  // explored action and every replayed trace record goes through.
+  // Snapshot records belong to SaveConcrete/RestoreConcrete instead.
+  Status Apply(const Operation& op);
   bool violation_detected() const override { return violation_.has_value(); }
   std::string violation_report() const override {
     return violation_.value_or("");
@@ -106,7 +111,8 @@ class SyscallEngine final : public mc::System {
   // Crash-consistency check (ExplorerOptions::crash_mode): enumerate the
   // crash states each member's in-flight writes permit, remount each on a
   // recovery probe, validate against the persistence oracle. A contract
-  // breach lands in violation_detected() like any other discrepancy.
+  // breach lands in violation_detected() like any other discrepancy and
+  // marks the trace record of the operation it convicts.
   Status CrashCheck() override;
   // POR footprints: StaticTouchedPaths per action, expanded with
   // hard-link alias classes (computed once at construction; see
@@ -121,7 +127,7 @@ class SyscallEngine final : public mc::System {
 
   const EngineCounters& counters() const { return counters_; }
   // Operations and snapshots in execution order; each record carries
-  // members 0 and 1 (trace replay and shrinking are two-member).
+  // members 0 and 1 (Mcfs::Replay and shrinking are two-member).
   const Trace& trace() const { return trace_; }
   // Outcome coverage across all members (paper §7 future work).
   const SyscallCoverage& coverage() const { return coverage_; }
@@ -152,20 +158,6 @@ class SyscallEngine final : public mc::System {
   const std::vector<std::uint64_t>& oracle_disagreement_counts() const {
     return oracle_disagreements_;
   }
-
-  // Crash-exploration hooks for trace replay (McfsReplayPair): replays
-  // route each executed operation and the post-op crash check through
-  // the same oracles the live search used. Inert when crash mode is off.
-  // Replays are two-member: CrashObserveOp feeds members 0 and 1.
-  bool crash_enabled() const;
-  void CrashObserveOp(const Operation& op, const OpOutcome& outcome_a,
-                      const OpOutcome& outcome_b);
-  // "" = all crash states legal (or crash mode off / infra failure — a
-  // replay must not count an infrastructure error as a reproduction).
-  std::string CrashCheckDetail();
-  void CrashSaveState(std::uint64_t key);
-  Status CrashRestoreState(std::uint64_t key);
-  void CrashDiscardState(std::uint64_t key);
 
  private:
   // Computes each member's abstract state (mount-state aware) and caches

@@ -139,8 +139,8 @@ OpOutcome ExecuteOp(vfs::Vfs& v, const Operation& op) {
     }
     case OpKind::kCheckpoint:
     case OpKind::kRestore:
-      // Snapshot records are executed by the replay host (ReplayPair),
-      // not against a single VFS.
+      // Snapshot records are the engine's SaveConcrete/RestoreConcrete,
+      // not calls against a single VFS.
       break;
   }
   return outcome;
@@ -241,96 +241,6 @@ void Trace::TrimToFirst(std::size_t n) {
   if (records_.size() > n) {
     records_.resize(n);
   }
-}
-
-Trace::ReplayResult Trace::Replay(vfs::Vfs& a, vfs::Vfs& b,
-                                  const CheckerOptions& options) const {
-  ReplayOptions replay;
-  replay.checker = options;
-  return Replay(a, b, replay);
-}
-
-namespace {
-
-// Adapts two bare VFS stacks to the ReplayPair interface (no snapshot
-// support: snapshot records fail the replay).
-class VfsOnlyPair final : public ReplayPair {
- public:
-  VfsOnlyPair(vfs::Vfs& a, vfs::Vfs& b) : a_(a), b_(b) {}
-  vfs::Vfs& a() override { return a_; }
-  vfs::Vfs& b() override { return b_; }
-
- private:
-  vfs::Vfs& a_;
-  vfs::Vfs& b_;
-};
-
-}  // namespace
-
-Trace::ReplayResult Trace::Replay(vfs::Vfs& a, vfs::Vfs& b,
-                                  const ReplayOptions& options) const {
-  VfsOnlyPair pair(a, b);
-  return Replay(pair, options);
-}
-
-Trace::ReplayResult Trace::Replay(ReplayPair& pair,
-                                  const ReplayOptions& options) const {
-  ReplayResult result;
-  for (std::size_t i = 0; i < records_.size(); ++i) {
-    const Operation& op = records_[i].op;
-    if (op.kind == OpKind::kCheckpoint || op.kind == OpKind::kRestore) {
-      const Status s = op.kind == OpKind::kCheckpoint
-                           ? pair.Save(op.offset)
-                           : pair.Restore(op.offset);
-      if (!s.ok()) {
-        // Infrastructure failure (unknown key after ddmin dropped the
-        // matching checkpoint, or a host without snapshot support): the
-        // candidate does not reproduce.
-        result.detail = "snapshot replay failed at record " +
-                        std::to_string(i);
-        return result;
-      }
-      continue;  // nothing to compare
-    }
-    const OpOutcome oa = ExecuteOp(pair.a(), records_[i].op);
-    const OpOutcome ob = ExecuteOp(pair.b(), records_[i].op);
-    const CheckVerdict verdict =
-        CompareOutcomes(records_[i].op, oa, ob, options.checker);
-    if (!verdict.ok) {
-      result.reproduced = true;
-      result.violation_index = i;
-      result.detail = verdict.detail;
-      return result;
-    }
-    if (options.crash_checks) {
-      pair.ObserveOp(records_[i].op, oa, ob);
-      std::string detail = pair.CrashCheck();
-      if (!detail.empty()) {
-        result.reproduced = true;
-        result.violation_index = i;
-        result.detail = std::move(detail);
-        return result;
-      }
-    }
-    if (options.compare_states) {
-      auto da = ComputeAbstractState(pair.a(), options.abstraction);
-      auto db = ComputeAbstractState(pair.b(), options.abstraction);
-      if (!da.ok() || !db.ok()) {
-        result.reproduced = true;
-        result.violation_index = i;
-        result.detail = "abstraction walk failed during replay";
-        return result;
-      }
-      if (da.value() != db.value()) {
-        result.reproduced = true;
-        result.violation_index = i;
-        result.detail = "abstract states diverge after " +
-                        records_[i].op.ToString();
-        return result;
-      }
-    }
-  }
-  return result;
 }
 
 }  // namespace mcfs::core

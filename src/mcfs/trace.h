@@ -1,64 +1,25 @@
-// Operation trace recording and replay.
+// Operation trace recording.
 //
 // "Spin logs the precise sequence of operations, parameters, and starting
 // and ending states that led to a problem, simplifying reproducibility"
 // (paper §2). The Trace captures every executed operation with both file
 // systems' outcomes; after a violation it can be dumped for humans or
-// replayed mechanically against a fresh pair of file systems to confirm
-// the bug reproduces.
+// replayed mechanically against a fresh pair of file systems
+// (Mcfs::Replay) to confirm the bug reproduces.
 #pragma once
 
 #include <string>
 #include <vector>
 
-#include "mcfs/abstraction.h"
-#include "mcfs/checker.h"
 #include "mcfs/ops.h"
 #include "vfs/vfs.h"
 
 namespace mcfs::core {
 
-// Executes one operation (meta-ops included) against a mounted VFS.
-// Exposed here because both the engine and trace replay need it.
-// Snapshot records (kCheckpoint/kRestore) are no-ops here — they need a
-// ReplayPair with snapshot support.
+// Executes one operation (meta-ops included) against a mounted VFS: the
+// engine's per-member step. Snapshot records (kCheckpoint/kRestore) are
+// no-ops here — they are the engine's SaveConcrete/RestoreConcrete.
 OpOutcome ExecuteOp(vfs::Vfs& v, const Operation& op);
-
-// A freshly built, mounted pair of file systems for one replay attempt.
-// Every replay gets its own pair so earlier attempts cannot leak state.
-class ReplayPair {
- public:
-  virtual ~ReplayPair() = default;
-  virtual vfs::Vfs& a() = 0;
-  virtual vfs::Vfs& b() = 0;
-
-  // Snapshot hooks for kCheckpoint/kRestore records (keys are the
-  // recorded Operation::offset), applied to BOTH file systems. Default:
-  // unsupported — a trace containing snapshot records then fails to
-  // reproduce instead of silently skipping them.
-  virtual Status Save(std::uint64_t key) {
-    (void)key;
-    return Errno::kENOTSUP;
-  }
-  virtual Status Restore(std::uint64_t key) {
-    (void)key;
-    return Errno::kENOTSUP;
-  }
-
-  // Crash-exploration hooks (ReplayOptions::crash_checks). ObserveOp
-  // feeds each replayed operation to the host's persistence oracles;
-  // CrashCheck enumerates crash states after the op and returns a
-  // non-empty violation detail if any recovered image breaks the
-  // persistence contract. Defaults: inert, so ordinary replays are
-  // unaffected.
-  virtual void ObserveOp(const Operation& op, const OpOutcome& a,
-                         const OpOutcome& b) {
-    (void)op;
-    (void)a;
-    (void)b;
-  }
-  virtual std::string CrashCheck() { return {}; }
-};
 
 class Trace {
  public:
@@ -95,36 +56,6 @@ class Trace {
   // Keeps only the first `n` records (minimization truncates at the
   // first reproducing violation).
   void TrimToFirst(std::size_t n);
-
-  struct ReplayResult {
-    bool reproduced = false;     // a violation occurred during replay
-    std::size_t violation_index = 0;
-    std::string detail;
-  };
-
-  struct ReplayOptions {
-    CheckerOptions checker;
-    // Also compare the two sides' abstract states after every operation —
-    // the §2 "identical states" check. Catches divergence (e.g. a chmod
-    // that silently ignores its mode argument) that never surfaces in any
-    // single operation's outcome.
-    bool compare_states = false;
-    AbstractionOptions abstraction;
-    // Run the host's crash-consistency check after every operation (the
-    // crash-exploration mode's replay/shrink path). A crash violation
-    // counts as reproduced at that record.
-    bool crash_checks = false;
-  };
-
-  // Re-executes the recorded operations against a fresh pair of mounted
-  // file systems and reports whether a discrepancy reappears. The
-  // vfs-level overloads cannot honor snapshot records; use the
-  // ReplayPair overload for traces that contain them.
-  ReplayResult Replay(vfs::Vfs& a, vfs::Vfs& b,
-                      const CheckerOptions& options) const;
-  ReplayResult Replay(vfs::Vfs& a, vfs::Vfs& b,
-                      const ReplayOptions& options) const;
-  ReplayResult Replay(ReplayPair& pair, const ReplayOptions& options) const;
 
   std::vector<Record>& mutable_records() { return records_; }
 

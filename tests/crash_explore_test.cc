@@ -115,15 +115,15 @@ TEST(CrashExploreTest, CrashMutantsAreKilledByTheOracleWithSmallRepros) {
   EXPECT_TRUE(report.missed.empty());
   for (const auto& outcome : report.outcomes) {
     EXPECT_TRUE(outcome.crash) << outcome.name;
-    EXPECT_TRUE(outcome.detected) << outcome.name;
+    EXPECT_TRUE(outcome.relative.detected) << outcome.name;
     // Live differential checking cannot see these defects — only the
     // persistence oracle can, and its reports carry the crash point.
     EXPECT_EQ(outcome.killed_by, "crash") << outcome.name;
-    EXPECT_NE(outcome.violation.find("crash:"), std::string::npos)
-        << outcome.name << ": " << outcome.violation;
-    EXPECT_TRUE(outcome.replay_confirmed) << outcome.name;
-    EXPECT_LE(outcome.minimized_ops, 8u) << outcome.name;
-    EXPECT_FALSE(outcome.minimized_trace.empty()) << outcome.name;
+    EXPECT_NE(outcome.relative.violation.find("crash:"), std::string::npos)
+        << outcome.name << ": " << outcome.relative.violation;
+    EXPECT_TRUE(outcome.relative.replay_confirmed) << outcome.name;
+    EXPECT_LE(outcome.relative.minimized_ops, 8u) << outcome.name;
+    EXPECT_FALSE(outcome.relative.minimized_trace.empty()) << outcome.name;
   }
   // The JSON artifact carries the crash axis for scripts/crash_campaign.sh.
   const std::string json = report.ToJson();

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "mcfs/equalize.h"
+#include "mcfs/harness.h"
 #include "mcfs/syscall_engine.h"
 
 namespace mcfs::core {
@@ -235,23 +236,16 @@ TEST(TraceTest, SerializationRoundTrip) {
 }
 
 TEST(TraceTest, ReplayReproducesADiscrepancy) {
-  // Record a trace against a buggy pair, then replay it on a fresh buggy
-  // pair and confirm the discrepancy reappears at the same spot.
-  FsUnderTestConfig buggy;
-  buggy.kind = FsKind::kVerifs2;
-  buggy.strategy = StateStrategy::kIoctl;
-  buggy.bugs.size_update_only_on_capacity_growth = true;
-  FsUnderTestConfig clean;
-  clean.kind = FsKind::kVerifs1;
-  clean.strategy = StateStrategy::kIoctl;
-
-  auto make_vfs_pair = [&]() {
-    auto a = FsUnderTest::Create(clean, nullptr);
-    auto b = FsUnderTest::Create(buggy, nullptr);
-    EXPECT_TRUE(a.ok());
-    EXPECT_TRUE(b.ok());
-    return std::pair{std::move(a).value(), std::move(b).value()};
-  };
+  // Replay a trace on a fresh buggy pair and confirm the discrepancy
+  // reappears at the same spot; outcome checks only, so it surfaces
+  // where an operation returns the wrong thing.
+  McfsConfig config;
+  config.fs_a.kind = FsKind::kVerifs1;
+  config.fs_a.strategy = StateStrategy::kIoctl;
+  config.fs_b.kind = FsKind::kVerifs2;
+  config.fs_b.strategy = StateStrategy::kIoctl;
+  config.fs_b.bugs.size_update_only_on_capacity_growth = true;
+  config.engine.compare_states = false;
 
   // Craft the triggering sequence by hand: create, write to grow the
   // buffer, then append within capacity (bug #4 loses the size update).
@@ -269,22 +263,18 @@ TEST(TraceTest, ReplayReproducesADiscrepancy) {
   trace.Append(write2, dummy, dummy, false);
   trace.Append(stat, dummy, dummy, true);
 
-  auto [a, b] = make_vfs_pair();
-  const Trace::ReplayResult result =
-      trace.Replay(a->vfs(), b->vfs(), CheckerOptions{});
+  auto buggy = Mcfs::Create(config);
+  ASSERT_TRUE(buggy.ok());
+  const ReplayResult result = buggy.value()->Replay(trace);
   ASSERT_TRUE(result.reproduced);
   EXPECT_EQ(result.violation_index, 3u);  // the stat sees the short file
   EXPECT_NE(result.detail.find("size"), std::string::npos);
 
   // The same trace on a clean pair replays without any discrepancy.
-  FsUnderTestConfig fixed = buggy;
-  fixed.bugs = verifs::VerifsBugs::None();
-  auto c = FsUnderTest::Create(clean, nullptr);
-  auto d = FsUnderTest::Create(fixed, nullptr);
-  ASSERT_TRUE(c.ok());
-  ASSERT_TRUE(d.ok());
-  const Trace::ReplayResult clean_result = trace.Replay(
-      c.value()->vfs(), d.value()->vfs(), CheckerOptions{});
+  config.fs_b.bugs = verifs::VerifsBugs::None();
+  auto fixed = Mcfs::Create(config);
+  ASSERT_TRUE(fixed.ok());
+  const ReplayResult clean_result = fixed.value()->Replay(trace);
   EXPECT_FALSE(clean_result.reproduced) << clean_result.detail;
 }
 

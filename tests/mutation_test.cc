@@ -52,11 +52,11 @@ TEST(MutationCampaignTest, FastMutantsAreKilledAndMinimized) {
   EXPECT_DOUBLE_EQ(report.kill_rate, 1.0);
   EXPECT_TRUE(report.missed.empty());
   for (const auto& outcome : report.outcomes) {
-    EXPECT_TRUE(outcome.detected) << outcome.name;
-    EXPECT_TRUE(outcome.replay_confirmed) << outcome.name;
-    EXPECT_LE(outcome.minimized_ops, 10u) << outcome.name;
-    EXPECT_GT(outcome.raw_trace_ops, 0u) << outcome.name;
-    EXPECT_FALSE(outcome.minimized_trace.empty()) << outcome.name;
+    EXPECT_TRUE(outcome.relative.detected) << outcome.name;
+    EXPECT_TRUE(outcome.relative.replay_confirmed) << outcome.name;
+    EXPECT_LE(outcome.relative.minimized_ops, 10u) << outcome.name;
+    EXPECT_GT(outcome.relative.raw_trace_ops, 0u) << outcome.name;
+    EXPECT_FALSE(outcome.relative.minimized_trace.empty()) << outcome.name;
   }
 }
 
@@ -111,8 +111,8 @@ TEST(MutationCampaignTest, FailedMkdirParentMutantIsCaughtIncrementally) {
   options.only = {"mkdir_eexist_chowns_parent"};
   MutationCampaignReport report = RunMutationCampaign(options);
   ASSERT_EQ(report.outcomes.size(), 1u);
-  EXPECT_TRUE(report.outcomes[0].detected);
-  EXPECT_TRUE(report.outcomes[0].replay_confirmed);
+  EXPECT_TRUE(report.outcomes[0].relative.detected);
+  EXPECT_TRUE(report.outcomes[0].relative.replay_confirmed);
 }
 
 TEST(MutationCampaignTest, RestoreBugIsCaughtThroughTheFuseTransport) {
@@ -125,9 +125,9 @@ TEST(MutationCampaignTest, RestoreBugIsCaughtThroughTheFuseTransport) {
   options.only = {"skip_cache_invalidation_on_restore"};
   MutationCampaignReport report = RunMutationCampaign(options);
   ASSERT_EQ(report.outcomes.size(), 1u);
-  EXPECT_TRUE(report.outcomes[0].detected);
-  EXPECT_TRUE(report.outcomes[0].replay_confirmed);
-  EXPECT_LE(report.outcomes[0].minimized_ops, 10u);
+  EXPECT_TRUE(report.outcomes[0].relative.detected);
+  EXPECT_TRUE(report.outcomes[0].relative.replay_confirmed);
+  EXPECT_LE(report.outcomes[0].relative.minimized_ops, 10u);
 }
 
 TEST(MutationCampaignTest, SortedDirentsEvaderSurvivesByDesign) {
@@ -140,10 +140,45 @@ TEST(MutationCampaignTest, SortedDirentsEvaderSurvivesByDesign) {
   options.only = {"readdir_reverse_order"};
   MutationCampaignReport report = RunMutationCampaign(options);
   ASSERT_EQ(report.outcomes.size(), 1u);
-  EXPECT_FALSE(report.outcomes[0].detected);
+  EXPECT_FALSE(report.outcomes[0].relative.detected);
   // Not a miss: the corpus documents it as an accepted blind spot.
   EXPECT_TRUE(report.missed.empty());
   EXPECT_EQ(report.expected_detections, 0u);
+}
+
+TEST(MutationCampaignTest, ReproducersPrintWhatTheReplaySaw) {
+  // A minimized trace is the confirming replay's own record: real errnos
+  // (a trail seed carries none) and the violation marker on the record
+  // that convicted, crash verdicts included.
+  MutationCampaignOptions options;
+  options.fuse_transport = false;
+  options.spec_axis = false;
+  options.pool = ParameterPool::Tiny();
+  options.max_operations = 4'000;
+  options.max_depth = 3;
+  options.seeds = {1, 2, 3};
+  options.only = {"unlink_enoent_as_eperm", "jffs2_skip_log_replay",
+                  "ext4_ack_before_journal_commit"};
+  MutationCampaignReport report = RunMutationCampaign(options);
+  ASSERT_EQ(report.outcomes.size(), 3u);
+  for (const MutantOutcome& o : report.outcomes) {
+    ASSERT_TRUE(o.relative.replay_confirmed) << o.name;
+    const std::string& text = o.relative.minimized_trace;
+    ASSERT_FALSE(text.empty()) << o.name;
+    if (o.crash) {
+      EXPECT_EQ(o.killed_by, "crash") << o.name;
+      // The last record is the operation the crash check convicted.
+      const std::size_t nl = text.rfind('\n', text.size() - 2);
+      const std::string last =
+          text.substr(nl == std::string::npos ? 0 : nl + 1);
+      EXPECT_NE(last.find("[VIOLATION]"), std::string::npos)
+          << o.name << ":\n" << text;
+    } else {
+      EXPECT_NE(text.find("A:ENOENT B:EPERM  [VIOLATION]"),
+                std::string::npos)
+          << o.name << ":\n" << text;
+    }
+  }
 }
 
 TEST(MutationCampaignTest, JsonReportIsWellFormedAndEscaped) {
@@ -151,8 +186,8 @@ TEST(MutationCampaignTest, JsonReportIsWellFormedAndEscaped) {
   MutantOutcome outcome;
   outcome.name = "fake_mutant";
   outcome.hint = "line1\nline2 \"quoted\"";
-  outcome.detected = true;
-  outcome.minimized_trace = "0: mkdir(/d)\n";
+  outcome.relative.detected = true;
+  outcome.relative.minimized_trace = "0: mkdir(/d)\n";
   report.outcomes.push_back(outcome);
   report.expected_detections = 1;
   report.detections = 1;

@@ -1,15 +1,16 @@
-// TraceMinimizer: ddmin deletion, parameter simplification, budget and
-// failure behavior — all against real (in-process) VeriFS1 pairs.
+// TraceMinimizer and Mcfs::Replay: ddmin deletion, parameter
+// simplification, budget and failure behavior against real (in-process)
+// VeriFS1 pairs, and remount-per-op replays that must follow the engine.
 #include <gtest/gtest.h>
 
-#include "mcfs/harness.h"
 #include "mcfs/shrink.h"
 
 namespace mcfs::core {
 namespace {
 
 // Same-kind ioctl pair, direct in-process calls (no FUSE): fast enough
-// for the hundreds of fresh pairs a shrink builds.
+// for the hundreds of fresh pairs a shrink builds. Outcome checks only,
+// so a bug surfaces where an operation returns the wrong thing.
 McfsConfig PairConfig(verifs::VerifsBugs bugs) {
   McfsConfig config;
   config.fs_a.kind = FsKind::kVerifs1;
@@ -17,6 +18,20 @@ McfsConfig PairConfig(verifs::VerifsBugs bugs) {
   config.fs_a.fuse_transport = false;
   config.fs_b = config.fs_a;
   config.fs_b.bugs = bugs;
+  config.engine.compare_states = false;
+  return config;
+}
+
+// bench_bug_detection's pairing: ext4f remounting every operation
+// against VeriFS1 under ioctl snapshots, Tiny pool.
+McfsConfig Ext4VsVerifs1Config(verifs::VerifsBugs bugs) {
+  McfsConfig config;
+  config.fs_a.kind = FsKind::kExt4;
+  config.fs_a.strategy = StateStrategy::kRemountPerOp;
+  config.fs_b.kind = FsKind::kVerifs1;
+  config.fs_b.strategy = StateStrategy::kIoctl;
+  config.fs_b.bugs = bugs;
+  config.engine.pool = ParameterPool::Tiny();
   return config;
 }
 
@@ -56,7 +71,7 @@ std::vector<Operation> NoisyShrinkTrigger() {
 TEST(ShrinkTest, DdminFindsTheMinimalShrinkTruncateReproducer) {
   verifs::VerifsBugs bugs;
   bugs.truncate_shrink_noop = true;
-  TraceMinimizer minimizer(MakeMcfsReplayFactory(PairConfig(bugs)), {});
+  TraceMinimizer minimizer(PairConfig(bugs), {});
   ShrinkReport report;
   auto minimized = minimizer.Minimize(MakeTrace(NoisyShrinkTrigger()),
                                       &report);
@@ -74,7 +89,7 @@ TEST(ShrinkTest, DdminFindsTheMinimalShrinkTruncateReproducer) {
 TEST(ShrinkTest, ParameterPassSimplifiesSurvivingSizes) {
   verifs::VerifsBugs bugs;
   bugs.truncate_shrink_noop = true;
-  TraceMinimizer minimizer(MakeMcfsReplayFactory(PairConfig(bugs)), {});
+  TraceMinimizer minimizer(PairConfig(bugs), {});
   ShrinkReport report;
   auto minimized = minimizer.Minimize(MakeTrace(NoisyShrinkTrigger()),
                                       &report);
@@ -91,7 +106,7 @@ TEST(ShrinkTest, ParameterPassSimplifiesSurvivingSizes) {
 
 TEST(ShrinkTest, NonReproducingInputIsEinval) {
   // Same trace, no bug: nothing to reproduce.
-  TraceMinimizer minimizer(MakeMcfsReplayFactory(PairConfig({})), {});
+  TraceMinimizer minimizer(PairConfig({}), {});
   ShrinkReport report;
   auto minimized = minimizer.Minimize(MakeTrace(NoisyShrinkTrigger()),
                                       &report);
@@ -101,8 +116,10 @@ TEST(ShrinkTest, NonReproducingInputIsEinval) {
 }
 
 TEST(ShrinkTest, FactoryFailureIsEio) {
-  TraceMinimizer minimizer([]() { return std::unique_ptr<ReplayPair>(); },
-                           {});
+  // Mcfs::Create rejects the config: ext2f has no checkpoint ioctl.
+  McfsConfig config = PairConfig({});
+  config.fs_a.kind = FsKind::kExt2;
+  TraceMinimizer minimizer(config, {});
   auto minimized = minimizer.Minimize(MakeTrace(NoisyShrinkTrigger()));
   ASSERT_FALSE(minimized.ok());
   EXPECT_EQ(minimized.error(), Errno::kEIO);
@@ -113,8 +130,7 @@ TEST(ShrinkTest, ExhaustedBudgetStillReplayConfirmsTheResult) {
   bugs.truncate_shrink_noop = true;
   ShrinkOptions options;
   options.max_replays = 2;  // input check + barely one candidate
-  TraceMinimizer minimizer(MakeMcfsReplayFactory(PairConfig(bugs)),
-                           options);
+  TraceMinimizer minimizer(PairConfig(bugs), options);
   ShrinkReport report;
   auto minimized = minimizer.Minimize(MakeTrace(NoisyShrinkTrigger()),
                                       &report);
@@ -136,7 +152,7 @@ TEST(ShrinkTest, RestoreWithoutMatchingSaveDoesNotReproduce) {
   restore.kind = OpKind::kRestore;
   restore.offset = 42;  // snapshot key nobody saved
   ops.insert(ops.begin(), restore);
-  TraceMinimizer minimizer(MakeMcfsReplayFactory(PairConfig(bugs)), {});
+  TraceMinimizer minimizer(PairConfig(bugs), {});
   ShrinkReport report;
   auto minimized = minimizer.Minimize(MakeTrace(ops), &report);
   ASSERT_FALSE(minimized.ok());
@@ -165,7 +181,7 @@ TEST(ShrinkTest, CheckpointRestorePairSurvivesWhenLoadBearing) {
       restore,
       Op(OpKind::kGetDents, "/"),  // one side lost an inode
   };
-  TraceMinimizer minimizer(MakeMcfsReplayFactory(PairConfig(bugs)), {});
+  TraceMinimizer minimizer(PairConfig(bugs), {});
   ShrinkReport report;
   auto minimized = minimizer.Minimize(MakeTrace(ops), &report);
   ASSERT_TRUE(minimized.ok());
@@ -175,6 +191,78 @@ TEST(ShrinkTest, CheckpointRestorePairSurvivesWhenLoadBearing) {
     has_restore |= record.op.kind == OpKind::kRestore;
   }
   EXPECT_TRUE(has_restore);
+}
+
+TEST(ShrinkTest, RemountPairReplaysItsOwnCleanHistoryClean) {
+  // A remount-per-op member is unmounted between operations; a replay
+  // that skips the engine's BeginOp/EndOp runs operations on it
+  // unmounted and "reproduces" a clean run's history at record 1.
+  McfsConfig config = Ext4VsVerifs1Config({});
+  config.explore.mode = mc::SearchMode::kDfs;
+  config.explore.max_depth = 4;
+  config.explore.max_operations = 300;
+  config.explore.seed = 1;
+  auto run = Mcfs::Create(config);
+  ASSERT_TRUE(run.ok());
+  const McfsReport report = run.value()->Run();
+  ASSERT_FALSE(report.stats.violation_found) << report.stats.violation_report;
+  const Trace& history = run.value()->engine().trace();
+  ASSERT_LT(history.size(), config.engine.trace_cap);  // nothing trimmed
+
+  auto fresh = Mcfs::Create(config);
+  ASSERT_TRUE(fresh.ok());
+  const ReplayResult replay = fresh.value()->Replay(history);
+  EXPECT_FALSE(replay.reproduced)
+      << "record " << replay.violation_index << ": " << replay.detail;
+  // The replay walked the whole history through the engine and saw
+  // what the search saw, errnos and snapshot ids included.
+  EXPECT_EQ(fresh.value()->engine().trace().records(), history.records());
+}
+
+TEST(ShrinkTest, RemountPairReproducerNeedsTheBug) {
+  // bench_bug_detection's bug #2 row (VeriFS1 skips cache invalidation
+  // on restore, vs ext4f): the shrunk reproducer must reproduce with the
+  // bug and replay clean without it.
+  verifs::VerifsBugs bugs;
+  bugs.skip_cache_invalidation_on_restore = true;
+  McfsConfig config = Ext4VsVerifs1Config(bugs);
+  config.engine.trace_cap = 200'000;
+  config.explore.max_operations = 50'000;
+  config.explore.max_depth = 8;
+  std::unique_ptr<Mcfs> detecting;
+  McfsReport report;
+  for (std::uint64_t seed = 1; seed <= 16; ++seed) {
+    config.explore.seed = seed;
+    auto mcfs = Mcfs::Create(config);
+    ASSERT_TRUE(mcfs.ok());
+    report = mcfs.value()->Run();
+    if (report.stats.violation_found) {
+      detecting = std::move(mcfs).value();
+      break;
+    }
+  }
+  ASSERT_NE(detecting, nullptr);
+
+  ShrinkOptions options;
+  options.max_replays = 4'000;
+  TraceMinimizer minimizer(config, options);
+  const SyscallEngine& engine = detecting->engine();
+  auto trail = TraceFromTrail(engine, report.stats.violation_trail);
+  ASSERT_TRUE(trail.ok());
+  ShrinkReport shrink;
+  auto minimized = minimizer.Minimize(trail.value(), &shrink);
+  if (!minimized.ok()) minimized = minimizer.Minimize(engine.trace(), &shrink);
+  ASSERT_TRUE(minimized.ok());
+  EXPECT_TRUE(shrink.replay_confirmed);
+  EXPECT_TRUE(shrink.one_minimal);
+
+  config.fs_b.bugs = verifs::VerifsBugs::None();
+  auto fixed = Mcfs::Create(config);
+  ASSERT_TRUE(fixed.ok());
+  const ReplayResult replay = fixed.value()->Replay(minimized.value());
+  EXPECT_FALSE(replay.reproduced)
+      << minimized.value().ToText() << "record " << replay.violation_index
+      << ": " << replay.detail;
 }
 
 }  // namespace

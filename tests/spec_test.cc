@@ -406,15 +406,15 @@ TEST(SpecCampaign, DualMutantsSurviveRelativeButDieOnSpecAxis) {
     EXPECT_TRUE(o.dual) << o.name;
     // Relative axis: VeriFS1-with-bug vs VeriFS2-with-bug agree on the
     // wrong answer across the whole exploration budget.
-    EXPECT_FALSE(o.detected) << o.name;
+    EXPECT_FALSE(o.relative.detected) << o.name;
     // Spec axis: absolute checking kills it with a short, 1-minimal,
     // replay-confirmed reproducer.
-    EXPECT_TRUE(o.spec_detected) << o.name;
+    EXPECT_TRUE(o.spec.detected) << o.name;
     EXPECT_EQ(o.killed_by, "spec") << o.name;
-    EXPECT_LE(o.spec_minimized_ops, 6u) << o.name;
-    EXPECT_TRUE(o.spec_one_minimal) << o.name;
-    EXPECT_TRUE(o.spec_replay_confirmed) << o.name;
-    EXPECT_FALSE(o.spec_minimized_trace.empty()) << o.name;
+    EXPECT_LE(o.spec.minimized_ops, 6u) << o.name;
+    EXPECT_TRUE(o.spec.one_minimal) << o.name;
+    EXPECT_TRUE(o.spec.replay_confirmed) << o.name;
+    EXPECT_FALSE(o.spec.minimized_trace.empty()) << o.name;
   }
   EXPECT_TRUE(report.missed.empty());
   EXPECT_TRUE(report.unexpected.empty());
