@@ -1,7 +1,7 @@
 // Microbenchmarks for the building blocks (host wall-clock, via google
 // benchmark's normal timing): MD5 throughput, abstraction-function walk,
 // VeriFS checkpoint/restore, FUSE round trip, visited-table insertion,
-// bitstate insertion, and block-device copies. These are the knobs the
+// bitstate insertion, and block-device snapshots. These are the knobs the
 // macro results (Figures 2-3) are built from.
 #include <benchmark/benchmark.h>
 
@@ -227,20 +227,34 @@ void BM_AbstractionStepIncremental(benchmark::State& state) {
 BENCHMARK(BM_AbstractionStepIncremental)
     ->ArgsProduct({{16, 64, 256}, {256, 4096}, {0, 1, 2}});
 
+// One device capture, range(1) one-byte writes to distinct 4 KB blocks,
+// and one restore, on a RAM disk of range(0) bytes whose every block has
+// been written (the worst case for sharing: no block is a free null).
+// The capture and the restore copy block pointers; each write after the
+// capture clones the one block it touches. So the time per iteration
+// grows with the device's block count and the blocks dirtied, not with
+// the image's bytes.
 void BM_DeviceSnapshotRestore(benchmark::State& state) {
-  storage::RamDisk disk("d", static_cast<std::uint64_t>(state.range(0)),
-                        nullptr);
-  const Bytes snapshot = disk.SnapshotContents();
+  const auto bytes = static_cast<std::uint64_t>(state.range(0));
+  const auto dirty = static_cast<std::uint64_t>(state.range(1));
+  storage::RamDisk disk("d", bytes, nullptr);
+  (void)disk.Write(0, Bytes(bytes, 0x5a));
+  const std::uint64_t stride = bytes / 64;
+  const Bytes one_byte = {0xa5};
   for (auto _ : state) {
-    benchmark::DoNotOptimize(disk.SnapshotContents());
+    const storage::DeviceSnapshot snapshot = disk.SnapshotContents();
+    for (std::uint64_t i = 0; i < dirty; ++i) {
+      benchmark::DoNotOptimize(disk.Write(i * stride, one_byte));
+    }
     benchmark::DoNotOptimize(disk.RestoreContents(snapshot));
   }
-  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          state.range(0) * 2);
+  state.counters["device_blocks"] =
+      static_cast<double>(bytes / kCowBlockSize);
+  state.counters["dirty_blocks"] = static_cast<double>(dirty);
 }
 BENCHMARK(BM_DeviceSnapshotRestore)
-    ->Arg(256 * 1024)
-    ->Arg(16 * 1024 * 1024);
+    ->ArgNames({"bytes", "dirty"})
+    ->ArgsProduct({{256 * 1024, 16 * 1024 * 1024}, {0, 1, 64}});
 
 void BM_Ext2MountCycle(benchmark::State& state) {
   auto disk = std::make_shared<storage::RamDisk>("d", 256 * 1024, nullptr);

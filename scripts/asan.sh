@@ -12,7 +12,9 @@
 # (the CrashableDisk journal + recovery-probe churn is allocation-heavy),
 # `scripts/asan.sh -L snapshot` for the COW snapshot suite — the
 # leak detector is what proves a discarded snapshot's refcounted chunks
-# and blocks actually free — or `scripts/asan.sh -L spec` for the
+# and blocks actually free — `scripts/asan.sh -L storage` for the
+# block-device suite, where it proves the same of a dropped device
+# snapshot's shared 4 KB blocks, or `scripts/asan.sh -L spec` for the
 # executable-spec suite, whose O(state) deep-copy snapshots and
 # export/import round-trips are pure allocation traffic.
 set -euo pipefail
@@ -24,4 +26,4 @@ cmake -B "${build_dir}" -S "${repo_root}" -DMCFS_ASAN=ON
 cmake --build "${build_dir}" -j
 ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1}" \
 UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}" \
-ctest --test-dir "${build_dir}" --output-on-failure -j "$@"
+ctest --test-dir "${build_dir}" --output-on-failure -j "$(nproc)" "$@"

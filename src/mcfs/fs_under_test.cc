@@ -333,9 +333,14 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
           });
     } else {
       storage::BlockDevice* dev = fut->device_.get();
-      fut->vm_->RegisterComponent(
-          "disk", [dev]() { return dev->SnapshotContents(); },
-          [dev](ByteView image) { (void)dev->RestoreContents(image); });
+      fut->vm_->RegisterComponent("disk", [dev]() {
+        storage::DeviceSnapshot snapshot = dev->SnapshotContents();
+        const std::uint64_t bytes = snapshot.size();
+        return snapshot::VmSnapshotter::Image{
+            bytes, [dev, snapshot = std::move(snapshot)]() {
+              (void)dev->RestoreContents(snapshot);
+            }};
+      });
     }
   }
 
@@ -590,9 +595,11 @@ std::vector<std::string> FsUnderTest::SpecialPaths() const {
   return {};
 }
 
-Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(Bytes image) const {
+Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(
+    storage::BlockImage image) const {
   // No simulated clock: probe mounts are checking logic, not charged time.
-  // The image becomes the probe device's contents as is, without a copy.
+  // A RAM probe takes the image's blocks as its contents; the flat MTD
+  // array is the one copy.
   switch (config_.kind) {
     case FsKind::kExt2:
       return fs::FileSystemPtr(std::make_shared<fs::Ext2Fs>(
@@ -612,7 +619,7 @@ Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(Bytes image) const {
     case FsKind::kJffs2:
       return fs::FileSystemPtr(std::make_shared<fs::Jffs2Fs>(
           std::make_shared<storage::MtdDevice>("mtdram-probe",
-                                               std::move(image), nullptr),
+                                               image.ToBytes(), nullptr),
           Jffs2OptionsFor(config_)));
     case FsKind::kVerifs1:
     case FsKind::kVerifs2:

@@ -136,12 +136,13 @@ class FsUnderTest {
 
   // Crash exploration: the recording wrapper (null unless configured
   // with crashable_device), and a factory for recovery probes — a fresh
-  // device whose contents are `image` (moved in, not copied), mounted by
-  // nothing, carrying the same file-system options (including seeded
-  // bugs, so a mutant's broken recovery path is the one exercised). The
-  // caller mounts it.
+  // device whose contents are `image` (its blocks shared, not copied; an
+  // MTD probe flattens it once), mounted by nothing, carrying the same
+  // file-system options (including seeded bugs, so a mutant's broken
+  // recovery path is the one exercised). The caller mounts it.
   storage::CrashableDisk* crash_disk() { return crash_disk_; }
-  Result<fs::FileSystemPtr> BuildRecoveryProbe(Bytes image) const;
+  Result<fs::FileSystemPtr> BuildRecoveryProbe(
+      storage::BlockImage image) const;
 
  private:
   FsUnderTest() = default;
@@ -184,7 +185,9 @@ class FsUnderTest {
   std::unique_ptr<nfs::GaneshaServer> ganesha_;
   std::unique_ptr<snapshot::CriuSnapshotter> criu_;
 
-  std::map<std::uint64_t, Bytes> device_snapshots_;
+  // Device-snapshot strategies: explorer key -> device snapshot. Each
+  // shares its blocks with the live device and with the others.
+  std::map<std::uint64_t, storage::DeviceSnapshot> device_snapshots_;
   std::map<std::uint64_t, Bytes> mount_snapshots_;  // kVfsApi strategy
   // kIoctl: explorer key -> snapshot handle on the checkpointable FS.
   std::map<std::uint64_t, fs::SnapshotId> ioctl_handles_;

@@ -29,17 +29,25 @@ struct VmOptions {
 };
 
 // A "machine" is whatever set of components the caller registers: each
-// contributes a capture/restore pair. Snapshots are atomic across all
+// contributes a capture function. Snapshots are atomic across all
 // components — the property process- and FS-level snapshotting lack.
 class VmSnapshotter {
  public:
-  using CaptureFn = std::function<Bytes()>;
-  using RestoreFn = std::function<void(ByteView)>;
+  // One component's part of a snapshot: its size, which prices the
+  // capture and the restore, and a closure that puts the component back
+  // as captured. Restores are non-consuming, so it may run many times.
+  struct Image {
+    std::uint64_t bytes = 0;
+    std::function<void()> restore;
+  };
+  using CaptureFn = std::function<Image()>;
 
   explicit VmSnapshotter(SimClock* clock, VmOptions options = {});
 
-  void RegisterComponent(std::string name, CaptureFn capture,
-                         RestoreFn restore);
+  void RegisterComponent(std::string name, CaptureFn capture);
+  // A component whose image is a byte string.
+  void RegisterComponent(std::string name, std::function<Bytes()> capture,
+                         std::function<void(ByteView)> restore);
 
   Status Checkpoint(std::uint64_t key);
   Status Restore(std::uint64_t key);  // non-consuming
@@ -52,7 +60,6 @@ class VmSnapshotter {
   struct Component {
     std::string name;
     CaptureFn capture;
-    RestoreFn restore;
   };
 
   void Charge(SimClock::Nanos ns) {
@@ -62,7 +69,7 @@ class VmSnapshotter {
   SimClock* clock_;
   VmOptions options_;
   std::vector<Component> components_;
-  std::map<std::uint64_t, std::vector<Bytes>> snapshots_;
+  std::map<std::uint64_t, std::vector<Image>> snapshots_;
 };
 
 }  // namespace mcfs::snapshot

@@ -12,11 +12,28 @@
 #include <memory>
 #include <string>
 
+#include "storage/block_image.h"
 #include "util/bytes.h"
 #include "util/result.h"
 #include "util/sim_clock.h"
 
 namespace mcfs::storage {
+
+// What BlockDevice::SnapshotContents returns and RestoreContents takes:
+// the device contents as a shared image (block_image.h), plus whatever
+// a decorating device keeps beside them — CrashableDisk's digest table
+// and journal; empty for every other device. Copying one copies a block
+// pointer vector, never the blocks.
+struct DeviceSnapshot {
+  BlockImage image;
+  Bytes bookkeeping;
+
+  // The bytes this snapshot stands for, however many blocks it shares:
+  // the whole image plus the bookkeeping. State-size accounting (the
+  // memory model's simulated swap) charges this, as the paper's Spin
+  // stores a full copy of the device per state.
+  std::uint64_t size() const { return image.size() + bookkeeping.size(); }
+};
 
 // Counters a device maintains for benches and tests.
 struct DeviceStats {
@@ -49,12 +66,15 @@ class BlockDevice {
   // Snapshot of the full device contents — this is how the model checker
   // tracks persistent state for block-based file systems (the paper mmaps
   // the backing device into Spin's address space for the same purpose).
-  virtual Bytes SnapshotContents() const = 0;
+  // The simulated charge is a full-device pass; the host shares blocks.
+  virtual DeviceSnapshot SnapshotContents() const = 0;
 
-  // Restores a snapshot previously taken with SnapshotContents(). Note that
-  // this bypasses any file-system cache above the device: that is exactly
-  // the cache-incoherency hazard of paper §3.2.
-  virtual Status RestoreContents(ByteView contents) = 0;
+  // Restores a snapshot previously taken with SnapshotContents(); one of
+  // the wrong size, or not this kind of device's, returns EINVAL and
+  // changes nothing. Note that this bypasses any file-system cache above
+  // the device: that is exactly the cache-incoherency hazard of paper
+  // §3.2.
+  virtual Status RestoreContents(const DeviceSnapshot& contents) = 0;
 
   virtual const DeviceStats& stats() const = 0;
 

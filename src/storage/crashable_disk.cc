@@ -35,29 +35,17 @@ void SortUnique(std::vector<std::size_t>* v) {
   v->erase(std::unique(v->begin(), v->end()), v->end());
 }
 
-ByteView ChunkOf(const Bytes& image, std::size_t chunk) {
-  const std::size_t begin = chunk * kChunkBytes;
-  return ByteView(image.data() + begin,
-                  std::min(kChunkBytes, image.size() - begin));
-}
-
 void StoreDigest(Bytes* table, std::size_t chunk, const Md5Digest& digest) {
   std::memcpy(table->data() + chunk * kDigestBytes, digest.bytes.data(),
               kDigestBytes);
 }
 
-Bytes ChunkTable(const Bytes& image) {
+Bytes ChunkTable(const BlockImage& image) {
   Bytes table(ChunkCount(image.size()) * kDigestBytes);
   for (std::size_t c = 0; c < ChunkCount(image.size()); ++c) {
-    StoreDigest(&table, c, Md5::Hash(ChunkOf(image, c)));
+    StoreDigest(&table, c, Md5::Hash(image.Block(c)));
   }
   return table;
-}
-
-void Apply(Bytes* image, std::uint64_t offset, ByteView after) {
-  if (!after.empty()) {
-    std::memcpy(image->data() + offset, after.data(), after.size());
-  }
 }
 
 }  // namespace
@@ -75,7 +63,7 @@ std::string CrashState::Describe() const {
 
 CrashableDisk::CrashableDisk(BlockDevicePtr inner)
     : inner_(std::move(inner)),
-      durable_(inner_->SnapshotContents()),
+      durable_(inner_->SnapshotContents().image),
       chunk_table_(ChunkTable(durable_)),
       durable_digest_(Md5::Hash(chunk_table_).lo64()) {}
 
@@ -134,12 +122,12 @@ void CrashableDisk::RecordWrite(std::uint64_t offset, ByteView after) {
 void CrashableDisk::CommitBarrier() {
   std::vector<std::size_t> dirty;
   for (const WriteRecord& rec : journal_) {
-    Apply(&durable_, rec.offset, rec.after);
+    durable_.Write(rec.offset, rec.after);
     AddTouchedChunks(rec.offset, rec.after.size(), &dirty);
   }
   SortUnique(&dirty);
   for (std::size_t c : dirty) {
-    StoreDigest(&chunk_table_, c, Md5::Hash(ChunkOf(durable_, c)));
+    StoreDigest(&chunk_table_, c, Md5::Hash(durable_.Block(c)));
   }
   journal_.clear();
   ++barriers_;
@@ -151,13 +139,13 @@ void CrashableDisk::MarkClean() {
   CommitBarrier();
 }
 
-Bytes CrashableDisk::ImageWithSubset(
+BlockImage CrashableDisk::ImageWithSubset(
     const std::vector<std::size_t>& applied) const {
-  Bytes image = durable_;
+  BlockImage image = durable_;
   // Ascending indices = issue order, so overlapping in-flight writes
   // resolve the same way the device would (later write wins).
   for (std::size_t idx : applied) {
-    Apply(&image, journal_[idx].offset, journal_[idx].after);
+    image.Write(journal_[idx].offset, journal_[idx].after);
   }
   return image;
 }
@@ -179,7 +167,7 @@ Md5Digest CrashableDisk::SubsetDigest(
   for (std::size_t c : touched) {
     table.Update(ByteView(chunk_table_).subspan(
         next * kDigestBytes, (c - next) * kDigestBytes));
-    const ByteView durable = ChunkOf(durable_, c);
+    const ByteView durable = durable_.Block(c);
     chunk.assign(durable.begin(), durable.end());
     const std::uint64_t begin = c * kChunkBytes;
     const std::uint64_t end = begin + chunk.size();
@@ -284,10 +272,13 @@ std::uint64_t CrashableDisk::StateDigest() const {
   return md5.Final().lo64();
 }
 
-Bytes CrashableDisk::SnapshotContents() const {
+DeviceSnapshot CrashableDisk::SnapshotContents() const {
+  // The durable image rides as the snapshot's shared image. The blob
+  // keeps its length where a copy of its bytes would sit, so a restore
+  // checks the two agree and size() counts the whole durable image.
   ByteWriter w;
   w.PutU32(kSnapshotMagic);
-  w.PutBlob(durable_);
+  w.PutU64(durable_.size());
   w.PutBlob(chunk_table_);
   w.PutU64(barriers_);
   w.PutU32(static_cast<std::uint32_t>(journal_.size()));
@@ -295,21 +286,21 @@ Bytes CrashableDisk::SnapshotContents() const {
     w.PutU64(rec.offset);
     w.PutBlob(rec.after);
   }
-  return w.Take();
+  return DeviceSnapshot{durable_, w.Take()};
 }
 
-Status CrashableDisk::RestoreContents(ByteView contents) {
-  // Parse and check the whole blob before touching a member or the inner
-  // device, so a malformed one changes nothing.
-  Bytes durable;
+Status CrashableDisk::RestoreContents(const DeviceSnapshot& contents) {
+  // Parse and check the whole snapshot before touching a member or the
+  // inner device, so a malformed one changes nothing.
+  const BlockImage& durable = contents.image;
+  if (durable.size() != inner_->size_bytes()) return Errno::kEINVAL;
   Bytes table;
   std::uint64_t barriers = 0;
   std::vector<WriteRecord> journal;
   try {
-    ByteReader r(contents);
+    ByteReader r(contents.bookkeeping);
     if (r.GetU32() != kSnapshotMagic) return Errno::kEINVAL;
-    durable = r.GetBlob();
-    if (durable.size() != inner_->size_bytes()) return Errno::kEINVAL;
+    if (r.GetU64() != durable.size()) return Errno::kEINVAL;
     table = r.GetBlob();
     if (table.size() != ChunkCount(durable.size()) * kDigestBytes) {
       return Errno::kEINVAL;
@@ -336,11 +327,15 @@ Status CrashableDisk::RestoreContents(ByteView contents) {
   } catch (const std::out_of_range&) {
     return Errno::kEINVAL;
   }
-  // The inner device's live contents = durable + every in-flight write.
-  Bytes live = durable;
-  for (const WriteRecord& rec : journal) Apply(&live, rec.offset, rec.after);
-  if (Status s = inner_->RestoreContents(live); !s.ok()) return s;
-  durable_ = std::move(durable);
+  // The inner device's live contents = durable + every in-flight write,
+  // which copies only the blocks those writes touch.
+  BlockImage live = durable;
+  for (const WriteRecord& rec : journal) live.Write(rec.offset, rec.after);
+  if (Status s = inner_->RestoreContents(DeviceSnapshot{std::move(live), {}});
+      !s.ok()) {
+    return s;
+  }
+  durable_ = durable;
   chunk_table_ = std::move(table);
   journal_ = std::move(journal);
   barriers_ = barriers;

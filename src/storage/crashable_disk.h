@@ -18,6 +18,11 @@
 // touched, a crash candidate only the chunks its own writes touch, and a
 // snapshot carries the table so a restore re-hashes nothing.
 //
+// The durable image and every crash state's image are BlockImages, so a
+// chunk is one image block: a snapshot shares the durable image instead
+// of copying it, and a crash state copies only the blocks its writes
+// touch.
+//
 // JFFS2 programs its MTD directly, bypassing the block shim, so for that
 // stack the wrapper doubles as an MtdWriteObserver: raw Program/EraseBlock
 // post-images and fsync barriers arrive via the observer hooks instead of
@@ -47,7 +52,7 @@ struct CrashStateOptions {
 };
 
 struct CrashState {
-  Bytes image;                        // device contents at the crash
+  BlockImage image;                   // device contents at the crash
   std::vector<std::size_t> applied;   // journal indices applied, ascending
   std::size_t pending_total = 0;      // journal size at the crash point
   std::string Describe() const;
@@ -55,8 +60,8 @@ struct CrashState {
 
 class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
  public:
-  // Granularity of the durable image's digest table.
-  static constexpr std::size_t kChunkBytes = 4096;
+  // Granularity of the durable image's digest table: one image block.
+  static constexpr std::size_t kChunkBytes = kCowBlockSize;
 
   explicit CrashableDisk(BlockDevicePtr inner);
   ~CrashableDisk() override;
@@ -76,10 +81,11 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   // Snapshots carry the full crash bookkeeping (durable image, its chunk
   // digest table, journal, barrier count), not just the current contents,
   // so explorer rollbacks restore the recorder to the exact persistence
-  // state too. A restore validates the whole blob first: a malformed one
-  // returns EINVAL and changes nothing.
-  Bytes SnapshotContents() const override;
-  Status RestoreContents(ByteView contents) override;
+  // state too. The durable image is the snapshot's shared image; the rest
+  // is its bookkeeping blob. A restore validates both first: a malformed
+  // snapshot returns EINVAL and changes nothing.
+  DeviceSnapshot SnapshotContents() const override;
+  Status RestoreContents(const DeviceSnapshot& contents) override;
   const DeviceStats& stats() const override { return inner_->stats(); }
   std::string name() const override { return inner_->name() + "+crash"; }
 
@@ -114,7 +120,7 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
 
   std::size_t pending_writes() const { return journal_.size(); }
   std::uint64_t barriers() const { return barriers_; }
-  const Bytes& durable_image() const { return durable_; }
+  const BlockImage& durable_image() const { return durable_; }
 
  private:
   struct WriteRecord {
@@ -124,14 +130,14 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
 
   void RecordWrite(std::uint64_t offset, ByteView after);
   void CommitBarrier();
-  Bytes ImageWithSubset(const std::vector<std::size_t>& applied) const;
+  BlockImage ImageWithSubset(const std::vector<std::size_t>& applied) const;
   // Digest of the image ImageWithSubset(applied) would build, computed
   // from the durable table plus the chunks those writes touch.
   Md5Digest SubsetDigest(const std::vector<std::size_t>& applied) const;
 
   BlockDevicePtr inner_;
   std::shared_ptr<MtdDevice> mtd_;   // set iff observing a raw MTD
-  Bytes durable_;                    // image as of the last barrier
+  BlockImage durable_;               // image as of the last barrier
   Bytes chunk_table_;                // MD5 of each durable_ chunk, in order
   std::vector<WriteRecord> journal_; // in-flight writes, issue order
   std::uint64_t barriers_ = 0;

@@ -65,7 +65,7 @@ Status LatencyDisk::Flush() {
   return inner_->Flush();
 }
 
-Bytes LatencyDisk::SnapshotContents() const {
+DeviceSnapshot LatencyDisk::SnapshotContents() const {
   if (clock_ != nullptr && profile_.bandwidth_bytes_per_s > 0) {
     clock_->Advance(profile_.base_latency +
                     inner_->size_bytes() * 1'000'000'000ULL /
@@ -74,10 +74,11 @@ Bytes LatencyDisk::SnapshotContents() const {
   return inner_->SnapshotContents();
 }
 
-Status LatencyDisk::RestoreContents(ByteView contents) {
+Status LatencyDisk::RestoreContents(const DeviceSnapshot& contents) {
   // A state restore rewrites the whole device image.
+  if (Status s = inner_->RestoreContents(contents); !s.ok()) return s;
   Charge(0, contents.size());
-  return inner_->RestoreContents(contents);
+  return Status::Ok();
 }
 
 }  // namespace mcfs::storage

@@ -39,9 +39,11 @@ class LatencyDisk final : public BlockDevice {
   Status Flush() override;
 
   // State capture reads the whole device through the latency model (the
-  // paper's Spin mmaps the backing device; saving a state touches it).
-  Bytes SnapshotContents() const override;
-  Status RestoreContents(ByteView contents) override;
+  // paper's Spin mmaps the backing device; saving a state touches it),
+  // and a restore rewrites it; a restore the inner device rejects charges
+  // nothing and leaves the head where it was.
+  DeviceSnapshot SnapshotContents() const override;
+  Status RestoreContents(const DeviceSnapshot& contents) override;
 
   const DeviceStats& stats() const override { return inner_->stats(); }
   std::string name() const override { return inner_->name(); }

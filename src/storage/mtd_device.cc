@@ -22,7 +22,7 @@ MtdDevice::MtdDevice(std::string name, Bytes image, SimClock* clock,
       erase_counts_(data_.size() / options.erase_block_size, 0) {}
 
 Status MtdDevice::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
-  if (offset + out.size() > data_.size()) return Errno::kEIO;
+  if (!InBounds(offset, out.size())) return Errno::kEIO;
   if (!out.empty()) {
     std::memcpy(out.data(), data_.data() + offset, out.size());
   }
@@ -31,7 +31,7 @@ Status MtdDevice::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
 }
 
 Status MtdDevice::Program(std::uint64_t offset, ByteView data) {
-  if (offset + data.size() > data_.size()) return Errno::kEIO;
+  if (!InBounds(offset, data.size())) return Errno::kEIO;
   // Flash programming can only clear bits; flipping 0 -> 1 needs an erase.
   for (std::size_t i = 0; i < data.size(); ++i) {
     if ((data[i] & ~data_[offset + i]) != 0) return Errno::kEIO;
@@ -66,15 +66,18 @@ Status MtdDevice::Flush() {
   return Status::Ok();
 }
 
-Bytes MtdDevice::SnapshotContents() const {
+DeviceSnapshot MtdDevice::SnapshotContents() const {
   Charge((data_.size() + 1023) / 1024 * options_.read_latency_per_kb);
-  return data_;
+  return DeviceSnapshot{BlockImage(data_), {}};
 }
 
-Status MtdDevice::RestoreContents(ByteView contents) {
-  if (contents.size() != data_.size()) return Errno::kEINVAL;
+Status MtdDevice::RestoreContents(const DeviceSnapshot& contents) {
+  if (contents.image.size() != data_.size() ||
+      !contents.bookkeeping.empty()) {
+    return Errno::kEINVAL;
+  }
   Charge((contents.size() + 1023) / 1024 * options_.read_latency_per_kb);
-  data_.assign(contents.begin(), contents.end());
+  contents.image.Read(0, data_);
   return Status::Ok();
 }
 

@@ -74,9 +74,11 @@ class MtdDevice {
   }
 
   // State capture passes read/rewrite the whole flash through the
-  // mtdblock view (the paper mmaps it, §4); charged at read rate.
-  Bytes SnapshotContents() const;
-  Status RestoreContents(ByteView contents);
+  // mtdblock view (the paper mmaps it, §4); charged at read rate. The
+  // flash stays one flat array (erased flash reads 0xff, not the zeros a
+  // never-written image block stands for), so both copy it once.
+  DeviceSnapshot SnapshotContents() const;
+  Status RestoreContents(const DeviceSnapshot& contents);
 
   std::uint64_t erase_count(std::uint32_t block_index) const {
     return erase_counts_.at(block_index);
@@ -87,6 +89,9 @@ class MtdDevice {
  private:
   void Charge(SimClock::Nanos ns) const {
     if (clock_ != nullptr) clock_->Advance(ns);
+  }
+  bool InBounds(std::uint64_t offset, std::uint64_t n) const {
+    return offset <= data_.size() && n <= data_.size() - offset;
   }
 
   std::string name_;
@@ -119,8 +124,10 @@ class MtdBlockShim final : public BlockDevice {
     return mtd_->Flush();
   }
 
-  Bytes SnapshotContents() const override { return mtd_->SnapshotContents(); }
-  Status RestoreContents(ByteView contents) override {
+  DeviceSnapshot SnapshotContents() const override {
+    return mtd_->SnapshotContents();
+  }
+  Status RestoreContents(const DeviceSnapshot& contents) override {
     return mtd_->RestoreContents(contents);
   }
 

@@ -1,6 +1,5 @@
 #include "storage/ram_disk.h"
 
-#include <cstring>
 #include <utility>
 
 namespace mcfs::storage {
@@ -10,14 +9,14 @@ RamDisk::RamDisk(std::string name, std::uint64_t size_bytes, SimClock* clock,
     : name_(std::move(name)),
       options_(options),
       clock_(clock),
-      data_(size_bytes, 0) {}
+      image_(size_bytes) {}
 
-RamDisk::RamDisk(std::string name, Bytes image, SimClock* clock,
+RamDisk::RamDisk(std::string name, BlockImage image, SimClock* clock,
                  RamDiskOptions options)
     : name_(std::move(name)),
       options_(options),
       clock_(clock),
-      data_(std::move(image)) {}
+      image_(std::move(image)) {}
 
 bool RamDisk::ConsumeInjectedError() {
   if (injected_errors_ == 0) return false;
@@ -46,10 +45,8 @@ void RamDisk::ChargeSnapshotPass(std::uint64_t bytes) const {
 
 Status RamDisk::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
   if (ConsumeInjectedError()) return Errno::kEIO;
-  if (offset + out.size() > data_.size()) return Errno::kEIO;
-  if (!out.empty()) {
-    std::memcpy(out.data(), data_.data() + offset, out.size());
-  }
+  if (!InBounds(offset, out.size())) return Errno::kEIO;
+  image_.Read(offset, out);
   ++stats_.reads;
   stats_.bytes_read += out.size();
   Charge(out.size());
@@ -58,10 +55,8 @@ Status RamDisk::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
 
 Status RamDisk::Write(std::uint64_t offset, ByteView data) {
   if (ConsumeInjectedError()) return Errno::kEIO;
-  if (offset + data.size() > data_.size()) return Errno::kEIO;
-  if (!data.empty()) {
-    std::memcpy(data_.data() + offset, data.data(), data.size());
-  }
+  if (!InBounds(offset, data.size())) return Errno::kEIO;
+  image_.Write(offset, data);
   ++stats_.writes;
   stats_.bytes_written += data.size();
   Charge(data.size());
@@ -73,15 +68,18 @@ Status RamDisk::Flush() {
   return Status::Ok();
 }
 
-Bytes RamDisk::SnapshotContents() const {
-  ChargeSnapshotPass(data_.size());
-  return data_;
+DeviceSnapshot RamDisk::SnapshotContents() const {
+  ChargeSnapshotPass(image_.size());
+  return DeviceSnapshot{image_, {}};
 }
 
-Status RamDisk::RestoreContents(ByteView contents) {
-  if (contents.size() != data_.size()) return Errno::kEINVAL;
+Status RamDisk::RestoreContents(const DeviceSnapshot& contents) {
+  if (contents.image.size() != image_.size() ||
+      !contents.bookkeeping.empty()) {
+    return Errno::kEINVAL;
+  }
   ChargeSnapshotPass(contents.size());
-  data_.assign(contents.begin(), contents.end());
+  image_ = contents.image;
   return Status::Ok();
 }
 

@@ -6,10 +6,13 @@
 // RamDisk takes an arbitrary size per instance, which is the behavioural
 // point of that patch; RamDiskFactory mirrors the driver-level "all disks
 // from one module" structure and enforces/loosens the size rule.
+//
+// The contents are a BlockImage: a snapshot shares the disk's 4 KB
+// blocks until one side writes them, the way B3's CrashMonkey keeps its
+// base image on a copy-on-write RAM device (PAPERS.md).
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "storage/block_device.h"
 
@@ -34,20 +37,21 @@ class RamDisk final : public BlockDevice {
   // `clock` may be null (no time accounting, e.g. in unit tests).
   RamDisk(std::string name, std::uint64_t size_bytes, SimClock* clock,
           RamDiskOptions options = {});
-  // Takes `image` as its contents, with no zero fill and no copy (crash
-  // recovery probes are built this way).
-  RamDisk(std::string name, Bytes image, SimClock* clock,
+  // Takes `image` as its contents, sharing its blocks (crash recovery
+  // probes are built this way).
+  RamDisk(std::string name, BlockImage image, SimClock* clock,
           RamDiskOptions options = {});
 
-  std::uint64_t size_bytes() const override { return data_.size(); }
+  std::uint64_t size_bytes() const override { return image_.size(); }
   std::uint32_t block_size() const override { return options_.block_size; }
 
   Status Read(std::uint64_t offset, std::span<std::uint8_t> out) override;
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
 
-  Bytes SnapshotContents() const override;
-  Status RestoreContents(ByteView contents) override;
+  // Both charge one full-device snapshot pass, whatever they share.
+  DeviceSnapshot SnapshotContents() const override;
+  Status RestoreContents(const DeviceSnapshot& contents) override;
 
   const DeviceStats& stats() const override { return stats_; }
   std::string name() const override { return name_; }
@@ -57,13 +61,16 @@ class RamDisk final : public BlockDevice {
 
  private:
   bool ConsumeInjectedError();
+  bool InBounds(std::uint64_t offset, std::uint64_t n) const {
+    return offset <= image_.size() && n <= image_.size() - offset;
+  }
   void Charge(std::uint64_t bytes);
   void ChargeSnapshotPass(std::uint64_t bytes) const;
 
   std::string name_;
   RamDiskOptions options_;
   SimClock* clock_;
-  Bytes data_;
+  BlockImage image_;
   DeviceStats stats_;
   std::uint32_t injected_errors_ = 0;
 };

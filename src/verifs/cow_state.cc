@@ -4,12 +4,6 @@
 
 namespace mcfs::verifs {
 
-CowBlock& CowBuffer::MutBlock(std::size_t i) {
-  CowBlockPtr& block = blocks_[i];
-  if (block.use_count() > 1) block = std::make_shared<CowBlock>(*block);
-  return *block;
-}
-
 void CowBuffer::resize(std::uint64_t n) {
   if (n <= physical_) return;  // physical buffers never shrink
   std::size_t want = (n + kCowBlockSize - 1) / kCowBlockSize;
@@ -22,47 +16,30 @@ void CowBuffer::resize(std::uint64_t n) {
 }
 
 void CowBuffer::Zero(std::uint64_t off, std::uint64_t n) {
-  std::uint64_t end = off + n;
-  while (off < end) {
-    std::size_t bi = off / kCowBlockSize;
-    std::size_t bo = off % kCowBlockSize;
-    std::size_t len = std::min<std::uint64_t>(kCowBlockSize - bo, end - off);
-    std::memset(MutBlock(bi).data() + bo, 0, len);
-    off += len;
-  }
+  ForEachCowSpan(off, n,
+                 [this](std::size_t index, std::size_t in_block,
+                        std::size_t len) {
+                   std::memset(MutCowBlock(blocks_[index]).data() + in_block,
+                               0, len);
+                 });
 }
 
 void CowBuffer::Write(std::uint64_t off, ByteView data) {
   if (data.empty()) return;
   if (off + data.size() > physical_) resize(off + data.size());
-  std::uint64_t pos = off;
   const std::uint8_t* src = data.data();
-  std::uint64_t left = data.size();
-  while (left > 0) {
-    std::size_t bi = pos / kCowBlockSize;
-    std::size_t bo = pos % kCowBlockSize;
-    std::size_t len = std::min<std::uint64_t>(kCowBlockSize - bo, left);
-    std::memcpy(MutBlock(bi).data() + bo, src, len);
-    pos += len;
-    src += len;
-    left -= len;
-  }
+  ForEachCowSpan(off, data.size(),
+                 [&](std::size_t index, std::size_t in_block,
+                     std::size_t len) {
+                   std::memcpy(MutCowBlock(blocks_[index]).data() + in_block,
+                               src, len);
+                   src += len;
+                 });
 }
 
 Bytes CowBuffer::ReadBytes(std::uint64_t off, std::uint64_t n) const {
   Bytes out(n);
-  std::uint64_t pos = off;
-  std::uint8_t* dst = out.data();
-  std::uint64_t left = n;
-  while (left > 0) {
-    std::size_t bi = pos / kCowBlockSize;
-    std::size_t bo = pos % kCowBlockSize;
-    std::size_t len = std::min<std::uint64_t>(kCowBlockSize - bo, left);
-    std::memcpy(dst, blocks_[bi]->data() + bo, len);
-    pos += len;
-    dst += len;
-    left -= len;
-  }
+  ReadCowBlocks(blocks_, off, out);
   return out;
 }
 

@@ -46,23 +46,19 @@
 #include "fs/checkpointable.h"
 #include "fs/types.h"
 #include "util/bytes.h"
+#include "util/cow_block.h"
 
 namespace mcfs::verifs {
 
-// Data-block granularity of the COW store. One block per small file is
-// the common case in exploration workloads.
-inline constexpr std::size_t kCowBlockSize = 4096;
-
-using CowBlock = std::array<std::uint8_t, kCowBlockSize>;
-using CowBlockPtr = std::shared_ptr<CowBlock>;
-
-// A file's data buffer as a vector of refcounted 4K blocks plus a
-// physical size. Mirrors the mutable-Bytes buffer it replaces:
-// `size()` is the physical buffer size (which, like the old
-// std::vector buffer, never shrinks except on Assign/reset), bytes
-// beyond a resize are zero, and stale bytes between logical file size
-// and physical size survive verbatim — several seeded VeriFS bugs
-// depend on exactly that.
+// A file's data buffer as a vector of refcounted 4K blocks
+// (util/cow_block.h; one block per small file is the common case in
+// exploration workloads) plus a physical size. Mirrors the mutable-Bytes
+// buffer it replaces: `size()` is the physical buffer size (which, like
+// the old std::vector buffer, never shrinks except on Assign/reset),
+// bytes beyond a resize are zero, and stale bytes between logical file
+// size and physical size survive verbatim — several seeded VeriFS bugs
+// depend on exactly that. Blocks are allocated on resize, never left
+// null, so the snapshot stats walk counts every block of the buffer.
 //
 // Invariant: bytes in [size(), blocks_.size() * kCowBlockSize) are
 // zero in every block, so growing within allocated blocks needs no
@@ -96,13 +92,10 @@ class CowBuffer {
   void clear();
 
   // For the snapshot stats walk.
-  const std::vector<CowBlockPtr>& blocks() const { return blocks_; }
+  const CowBlocks& blocks() const { return blocks_; }
 
  private:
-  // Clones blocks_[i] if it is shared with a snapshot.
-  CowBlock& MutBlock(std::size_t i);
-
-  std::vector<CowBlockPtr> blocks_;
+  CowBlocks blocks_;
   std::uint64_t physical_ = 0;
 };
 

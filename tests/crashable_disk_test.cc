@@ -62,8 +62,8 @@ TEST(CrashableDiskTest, BarrierLegality) {
   ASSERT_EQ(states.size(), 2u);
   for (const CrashState& st : states) {
     // No crash state may lose a write that preceded a barrier.
-    EXPECT_EQ(std::string(st.image.begin(), st.image.begin() + 8),
-              "durable!");
+    const Bytes image = st.image.ToBytes();
+    EXPECT_EQ(std::string(image.begin(), image.begin() + 8), "durable!");
   }
   // Exactly one state applies the pending write.
   const auto applied = std::count_if(
@@ -153,9 +153,8 @@ TEST(CrashableDiskTest, FlushFaultInjection) {
   EXPECT_TRUE(disk->Flush().ok());
   EXPECT_EQ(disk->pending_writes(), 0u);
   EXPECT_EQ(disk->barriers(), 1u);
-  EXPECT_EQ(std::string(disk->durable_image().begin(),
-                        disk->durable_image().begin() + 8),
-            "inflight");
+  const Bytes durable = disk->durable_image().ToBytes();
+  EXPECT_EQ(std::string(durable.begin(), durable.begin() + 8), "inflight");
 }
 
 TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
@@ -164,7 +163,9 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
   ASSERT_TRUE(disk->Flush().ok());
   ASSERT_TRUE(disk->Write(256, AsBytes("pending")).ok());
 
-  const Bytes snapshot = disk->SnapshotContents();
+  const DeviceSnapshot snapshot = disk->SnapshotContents();
+  // The durable image rides as the shared image, not as blob bytes.
+  EXPECT_TRUE(snapshot.image == disk->durable_image());
 
   // Mutate past the snapshot: another barrier plus another write.
   ASSERT_TRUE(disk->Flush().ok());
@@ -178,53 +179,71 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
   const Bytes live = ReadAll(*disk);
   EXPECT_EQ(std::string(live.begin() + 256, live.begin() + 263), "pending");
   // ...but the durable image does not.
-  const Bytes& durable = disk->durable_image();
+  const Bytes durable = disk->durable_image().ToBytes();
   EXPECT_EQ(durable[256], 0);
 
-  EXPECT_EQ(disk->RestoreContents(Bytes(64, 0xab)).error(), Errno::kEINVAL);
+  EXPECT_EQ(
+      disk->RestoreContents(DeviceSnapshot{BlockImage(Bytes(64, 0xab)), {}})
+          .error(),
+      Errno::kEINVAL);
+  EXPECT_EQ(
+      disk->RestoreContents(DeviceSnapshot{snapshot.image, Bytes(64, 0xab)})
+          .error(),
+      Errno::kEINVAL);
 
-  // Hostile blobs: each returns EINVAL and leaves the recorder and the
-  // live contents exactly as they were.
+  // Hostile snapshots: each returns EINVAL and leaves the recorder and
+  // the live contents exactly as they were.
   ASSERT_TRUE(disk->Flush().ok());
   ASSERT_TRUE(disk->Write(1024, AsBytes("current")).ok());
   const std::uint64_t barriers = disk->barriers();
   const std::size_t pending = disk->pending_writes();
-  const Bytes durable_before = disk->durable_image();
+  const BlockImage durable_before = disk->durable_image();
   const std::uint64_t digest = disk->StateDigest();
   const Bytes live_before = ReadAll(*disk);
-  auto expect_rejected = [&](ByteView blob, const std::string& what) {
-    EXPECT_EQ(disk->RestoreContents(blob).error(), Errno::kEINVAL) << what;
+  auto expect_rejected = [&](const DeviceSnapshot& bad,
+                             const std::string& what) {
+    EXPECT_EQ(disk->RestoreContents(bad).error(), Errno::kEINVAL) << what;
     EXPECT_EQ(disk->barriers(), barriers) << what;
     EXPECT_EQ(disk->pending_writes(), pending) << what;
     EXPECT_TRUE(disk->durable_image() == durable_before) << what;
     EXPECT_EQ(disk->StateDigest(), digest) << what;
     EXPECT_TRUE(ReadAll(*disk) == live_before) << what;
   };
-  auto put_le = [](Bytes blob, std::size_t at, std::uint64_t v,
-                   std::size_t width) {
+  // The snapshot's image with its bookkeeping blob patched.
+  auto put_le = [&snapshot](std::size_t at, std::uint64_t v,
+                            std::size_t width) {
+    DeviceSnapshot patched = snapshot;
     for (std::size_t i = 0; i < width; ++i) {
-      blob[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+      patched.bookkeeping[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
     }
-    return blob;
+    return patched;
   };
 
-  for (std::size_t len = 0; len < snapshot.size(); ++len) {
-    expect_rejected(ByteView(snapshot).first(len),
-                    "truncated to " + std::to_string(len));
+  const Bytes& blob = snapshot.bookkeeping;
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    expect_rejected(
+        DeviceSnapshot{snapshot.image,
+                       Bytes(blob.begin(),
+                             blob.begin() + static_cast<std::ptrdiff_t>(len))},
+        "truncated to " + std::to_string(len));
   }
-  // The snapshot ends with its journal: a u32 count, then the one record
-  // (u64 offset, u64 length, the 7 bytes of "pending").
-  const std::size_t record_at = snapshot.size() - (8 + 8 + 7);
+  // The blob opens with a u32 magic and the u64 durable length, and ends
+  // with its journal: a u32 count, then the one record (u64 offset, u64
+  // length, the 7 bytes of "pending").
+  const std::size_t record_at = blob.size() - (8 + 8 + 7);
   const std::size_t count_at = record_at - 4;
-  expect_rejected(put_le(snapshot, record_at, std::uint64_t{1} << 40, 8),
+  expect_rejected(put_le(record_at, std::uint64_t{1} << 40, 8),
                   "offset far past the image");
-  expect_rejected(put_le(snapshot, record_at, 4096 - 3, 8),
+  expect_rejected(put_le(record_at, 4096 - 3, 8),
                   "record overrunning the image end");
-  expect_rejected(put_le(snapshot, count_at, 0xffffffffu, 4),
-                  "absurd record count");
+  expect_rejected(put_le(count_at, 0xffffffffu, 4), "absurd record count");
+  expect_rejected(put_le(4, 8192, 8), "durable length disagrees with image");
   auto bigger = MakeDisk(8192);
   ASSERT_TRUE(bigger->Write(0, AsBytes("x")).ok());
-  expect_rejected(bigger->SnapshotContents(), "well-formed, wrong size");
+  const DeviceSnapshot bigger_snapshot = bigger->SnapshotContents();
+  expect_rejected(bigger_snapshot, "well-formed, wrong size");
+  expect_rejected(DeviceSnapshot{bigger_snapshot.image, blob},
+                  "image of the wrong size");
 }
 
 TEST(CrashableDiskTest, MarkCleanCommitsWithoutBarrier) {
@@ -293,9 +312,10 @@ class ReferenceRecorder {
     std::set<Md5Digest> seen;
     std::vector<CrashState> states;
     for (const auto& applied : candidates) {
+      const Bytes image = Image(applied);
+      if (!seen.insert(Md5::Hash(image)).second) continue;
       CrashState st;
-      st.image = Image(applied);
-      if (!seen.insert(Md5::Hash(st.image)).second) continue;
+      st.image = BlockImage(image);
       st.applied = applied;
       st.pending_total = n;
       states.push_back(std::move(st));
@@ -362,9 +382,9 @@ TEST(CrashableDiskDifferential, BlockJournalsMatchFullImageDedup) {
     Rng rng(seed);
     auto disk = MakeDisk(kBytes);
     auto twin = MakeDisk(kBytes);
-    ReferenceRecorder ref(disk->durable_image());
+    ReferenceRecorder ref(disk->durable_image().ToBytes());
     std::vector<std::pair<std::uint64_t, Bytes>> in_flight;  // since barrier
-    Bytes mid_snapshot;
+    DeviceSnapshot mid_snapshot;
     std::uint64_t mid_digest = 0;
     ReferenceRecorder mid_ref = ref;
     for (int step = 0; step < 40; ++step) {
@@ -395,7 +415,7 @@ TEST(CrashableDiskDifferential, BlockJournalsMatchFullImageDedup) {
           // as if nothing were applied.
           offset = rng.Below(kBytes);
           const std::uint64_t len = 1 + rng.Below(kBytes - offset);
-          const Bytes& durable = disk->durable_image();
+          const Bytes durable = disk->durable_image().ToBytes();
           data.assign(durable.begin() + offset,
                       durable.begin() + offset + len);
         } else {
@@ -445,8 +465,8 @@ TEST(CrashableDiskDifferential, MtdJournalsMatchFullImageDedup) {
     Rng rng(seed);
     MtdStack live(kBytes, options);
     MtdStack twin(kBytes, options);
-    ReferenceRecorder ref(live.crash->durable_image());
-    Bytes mid_snapshot;
+    ReferenceRecorder ref(live.crash->durable_image().ToBytes());
+    DeviceSnapshot mid_snapshot;
     std::uint64_t mid_digest = 0;
     ReferenceRecorder mid_ref = ref;
     // Runs one raw flash mutation on both stacks and journals its
@@ -546,7 +566,7 @@ TEST(CrashableDiskMtdTest, ShimWritesAreNotDoubleCounted) {
   opts.barrier_model = BarrierModel::kOrdered;
   const auto states = crash->EnumerateCrashStates(opts);
   ASSERT_FALSE(states.empty());
-  EXPECT_EQ(states.back().image, mtd->SnapshotContents());
+  EXPECT_EQ(states.back().image, mtd->SnapshotContents().image);
 }
 
 // Regression: MtdBlockShim::Flush used to return Ok() without touching

@@ -156,6 +156,25 @@ TEST(EngineTest, ConcreteStateBytesArePositive) {
   ASSERT_TRUE(pair.engine->DiscardConcrete(snap.value()).ok());
 }
 
+// Device snapshots share blocks on the host, but the memory model still
+// charges a full device image per member per state (the paper's 16 MB
+// XFS minimum is what makes the Ext4-vs-XFS pair swap).
+TEST(EngineTest, ConcreteStateBytesCountWholeDeviceImages) {
+  EnginePair pair = MakePair(FsKind::kExt4, FsKind::kXfs);
+  auto snap = pair.engine->SaveConcrete();
+  ASSERT_TRUE(snap.ok());
+  EXPECT_EQ(pair.engine->ConcreteStateBytes(),
+            256u * 1024 + 16u * 1024 * 1024);
+  const std::size_t create = FindAction(*pair.engine, "create_file(/f0");
+  ASSERT_TRUE(pair.engine->ApplyAction(create).ok());
+  auto second = pair.engine->SaveConcrete();
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(pair.engine->ConcreteStateBytes(),
+            256u * 1024 + 16u * 1024 * 1024);
+  ASSERT_TRUE(pair.engine->DiscardConcrete(second.value()).ok());
+  ASSERT_TRUE(pair.engine->DiscardConcrete(snap.value()).ok());
+}
+
 TEST(EngineTest, TraceRecordsEveryOperation) {
   EnginePair pair = MakePair(FsKind::kVerifs1, FsKind::kVerifs2);
   const std::size_t create = FindAction(*pair.engine, "create_file(/f0");

@@ -75,7 +75,7 @@ TEST(IncoherencyTest, FlushingDoesNotSubstituteForRemount) {
   ASSERT_TRUE(v.Write(fd.value(), 0, AsBytes("flushed")).ok());
   ASSERT_TRUE(v.Fsync(fd.value()).ok());
   ASSERT_TRUE(v.Close(fd.value()).ok());
-  const Bytes snapshot_with_f = disk->SnapshotContents();
+  const storage::DeviceSnapshot snapshot_with_f = disk->SnapshotContents();
 
   // Delete /f, flush again.
   ASSERT_TRUE(v.Unlink("/f").ok());

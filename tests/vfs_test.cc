@@ -260,7 +260,7 @@ TEST(VfsStaleness, RemountRestoresCoherence) {
   Stack stack = MakeExt2Stack();
   WriteViaVfs(*stack.vfs, "/f", "version-A");
   ASSERT_TRUE(stack.vfs->Unmount().ok());
-  Bytes snapshot = stack.disk->SnapshotContents();
+  const storage::DeviceSnapshot snapshot = stack.disk->SnapshotContents();
   ASSERT_TRUE(stack.vfs->Mount().ok());
 
   ASSERT_TRUE(stack.vfs->Unlink("/f").ok());
