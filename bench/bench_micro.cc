@@ -1,11 +1,13 @@
 // Microbenchmarks for the building blocks (host wall-clock, via google
-// benchmark's normal timing): MD5 throughput, abstraction-function walk,
-// VeriFS checkpoint/restore, FUSE round trip, visited-table insertion,
-// bitstate insertion, and block-device snapshots. These are the knobs the
-// macro results (Figures 2-3) are built from.
+// benchmark's normal timing): MD5 and CRC-32C throughput, abstraction-
+// function walk, VeriFS checkpoint/restore, FUSE round trip, visited-table
+// insertion, bitstate insertion, block-device snapshots, and ext2f/xfsf
+// mount cycles. These are the knobs the macro results (Figures 2-3) are
+// built from.
 #include <benchmark/benchmark.h>
 
 #include "fs/ext2/ext2fs.h"
+#include "fs/xfs/xfsfs.h"
 #include "fuse/fuse_channel.h"
 #include "fuse/fuse_host.h"
 #include "fuse/fuse_kernel.h"
@@ -15,6 +17,7 @@
 #include "mcfs/ops.h"
 #include "mcfs/trace.h"
 #include "storage/ram_disk.h"
+#include "util/crc32c.h"
 #include "util/md5.h"
 #include "verifs/verifs2.h"
 
@@ -31,6 +34,28 @@ void BM_Md5Throughput(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Md5Throughput)->Arg(64)->Arg(4096)->Arg(65536);
+
+// CRC-32C over range(0) bytes, on the SSE4.2 path (hw = 1) or the
+// portable slice-by-8 one (hw = 0). 13 B is a jffs2f node's checked
+// header fields; 512 KB is about the free-space fill file's inode node,
+// which every jffs2f mount replays.
+void BM_Crc32c(benchmark::State& state) {
+  const Bytes payload(static_cast<std::size_t>(state.range(0)), 0x5a);
+  const bool hardware = state.range(1) != 0;
+  if (hardware && !Crc32cHardware()) {
+    state.SkipWithError("no SSE4.2 on this host");
+    return;
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(hardware ? Crc32c(payload)
+                                      : Crc32cPortable(payload));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          state.range(0));
+}
+BENCHMARK(BM_Crc32c)
+    ->ArgNames({"bytes", "hw"})
+    ->ArgsProduct({{13, 4096, 512 * 1024}, {1, 0}});
 
 void BM_VisitedTableInsert(benchmark::State& state) {
   mc::VisitedTable table(1024);
@@ -266,6 +291,20 @@ void BM_Ext2MountCycle(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_Ext2MountCycle);
+
+// xfsf's mount scans the whole 16 MB device before reading its
+// superblock; the scan charges reads without copying them.
+void BM_XfsMount(benchmark::State& state) {
+  auto disk = std::make_shared<storage::RamDisk>("d", fs::XfsFs::kMinFsBytes,
+                                                 nullptr);
+  fs::XfsFs xfs(disk);
+  (void)xfs.Mkfs();
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(xfs.Mount());
+    benchmark::DoNotOptimize(xfs.Unmount());
+  }
+}
+BENCHMARK(BM_XfsMount);
 
 }  // namespace
 

@@ -4,7 +4,7 @@
 #include <cassert>
 
 #include "fs/path.h"
-#include "util/crc32.h"
+#include "util/crc32c.h"
 
 namespace mcfs::fs {
 
@@ -22,12 +22,15 @@ Jffs2Fs::~Jffs2Fs() {
 // On-flash node (kNodeHeaderBytes = 21 bytes of header):
 //   magic u32 | type u8 | seq u64 | payload_len u32 | crc u32 | payload
 // little-endian, packed back-to-back and padded to 4-byte alignment. The
-// CRC-32 (util/crc32.h) covers type, seq and payload_len as well as the
-// payload: the CRC-32 of an empty payload is 0, so a payload-only check
+// CRC-32C (util/crc32c.h) covers type, seq and payload_len as well as the
+// payload: the CRC of an empty payload is 0, so a payload-only check
 // would accept an all-zero torn header, and a bit flip in seq would
 // replay the node under the wrong sequence number. Erased flash (0xff...)
 // fails the magic check, which is how the log scan finds its end; a CRC
-// mismatch marks a torn node, where the valid log ends.
+// mismatch marks a torn node, where the valid log ends. Linux JFFS2 uses
+// the IEEE CRC-32 polynomial; Castagnoli's has the same strength against
+// torn and flipped bits and runs in hardware (SSE4.2), which matters
+// because every mount re-checks the whole log.
 
 namespace {
 
@@ -37,8 +40,8 @@ constexpr std::size_t kNodeCrcFieldsOffset = 4;
 constexpr std::size_t kNodeCrcFieldsBytes = 13;
 
 std::uint32_t NodeCrc(ByteView header, ByteView payload) {
-  return Crc32(payload, Crc32(header.subspan(kNodeCrcFieldsOffset,
-                                             kNodeCrcFieldsBytes)));
+  return Crc32c(payload, Crc32c(header.subspan(kNodeCrcFieldsOffset,
+                                               kNodeCrcFieldsBytes)));
 }
 
 }  // namespace

@@ -537,12 +537,11 @@ Status XfsFs::Mount() {
   // Log-recovery / AG scan: walk the device checking for torn writes
   // before trusting any structure (real XFS replays its log and reads
   // every AG header here; this is why XFS [re]mounts are expensive).
-  if (options_.mount_scan_chunk > 0) {
-    Bytes chunk(options_.mount_scan_chunk);
-    for (std::uint64_t offset = 0; offset + chunk.size() <=
-                                   device_->size_bytes();
-         offset += chunk.size()) {
-      if (Status s = device_->Read(offset, chunk); !s.ok()) return s;
+  // Nothing here looks at the bytes, so the scan only pays the reads.
+  if (const std::uint64_t chunk = options_.mount_scan_chunk; chunk > 0) {
+    for (std::uint64_t offset = 0; offset + chunk <= device_->size_bytes();
+         offset += chunk) {
+      if (Status s = device_->Scan(offset, chunk); !s.ok()) return s;
     }
   }
   auto raw = ReadBlockRaw(0);
@@ -553,7 +552,13 @@ Status XfsFs::Mount() {
   sb.block_size = r.GetU32();
   sb.total_blocks = r.GetU32();
   sb.inode_count = r.GetU32();
-  if (sb.magic != kMagic || sb.block_size != options_.block_size) {
+  // The geometry must be the one Mkfs writes for this device and these
+  // options: the inode map below is sized by inode_count and read one
+  // table block per inode, so a hostile count would allocate and read
+  // without bound.
+  if (sb.magic != kMagic || sb.block_size != options_.block_size ||
+      sb.total_blocks != total_blocks() ||
+      sb.inode_count != options_.inode_count) {
     return Errno::kEINVAL;
   }
   sb_ = sb;

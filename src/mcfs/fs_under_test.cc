@@ -598,8 +598,7 @@ std::vector<std::string> FsUnderTest::SpecialPaths() const {
 Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(
     storage::BlockImage image) const {
   // No simulated clock: probe mounts are checking logic, not charged time.
-  // A RAM probe takes the image's blocks as its contents; the flat MTD
-  // array is the one copy.
+  // Every probe device takes the image's blocks as its contents.
   switch (config_.kind) {
     case FsKind::kExt2:
       return fs::FileSystemPtr(std::make_shared<fs::Ext2Fs>(
@@ -619,7 +618,7 @@ Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(
     case FsKind::kJffs2:
       return fs::FileSystemPtr(std::make_shared<fs::Jffs2Fs>(
           std::make_shared<storage::MtdDevice>("mtdram-probe",
-                                               image.ToBytes(), nullptr),
+                                               std::move(image), nullptr),
           Jffs2OptionsFor(config_)));
     case FsKind::kVerifs1:
     case FsKind::kVerifs2:

@@ -136,10 +136,10 @@ class FsUnderTest {
 
   // Crash exploration: the recording wrapper (null unless configured
   // with crashable_device), and a factory for recovery probes — a fresh
-  // device whose contents are `image` (its blocks shared, not copied; an
-  // MTD probe flattens it once), mounted by nothing, carrying the same
-  // file-system options (including seeded bugs, so a mutant's broken
-  // recovery path is the one exercised). The caller mounts it.
+  // device whose contents are `image` (its blocks shared, not copied),
+  // mounted by nothing, carrying the same file-system options (including
+  // seeded bugs, so a mutant's broken recovery path is the one
+  // exercised). The caller mounts it.
   storage::CrashableDisk* crash_disk() { return crash_disk_; }
   Result<fs::FileSystemPtr> BuildRecoveryProbe(
       storage::BlockImage image) const;

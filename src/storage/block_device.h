@@ -57,6 +57,15 @@ class BlockDevice {
   // Reads exactly out.size() bytes at offset. Fails with EIO past the end.
   virtual Status Read(std::uint64_t offset, std::span<std::uint8_t> out) = 0;
 
+  // Read(offset, n bytes) whose bytes nobody looks at: it fails, counts
+  // and charges exactly as that Read would, and a device that can do so
+  // skips the copy. For passes that exist only to cost what they cost on
+  // a real device (xfsf's mount scan).
+  virtual Status Scan(std::uint64_t offset, std::uint64_t n) {
+    Bytes scratch(n);
+    return Read(offset, scratch);
+  }
+
   // Writes exactly data.size() bytes at offset.
   virtual Status Write(std::uint64_t offset, ByteView data) = 0;
 

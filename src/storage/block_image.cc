@@ -1,26 +1,36 @@
 #include "storage/block_image.h"
 
 #include <algorithm>
+#include <cassert>
 #include <cstring>
 
 namespace mcfs::storage {
 namespace {
 
-const CowBlock& ZeroBlock() {
-  static const CowBlock zero{};
-  return zero;
+// What a null block reads as, for the two fills in use.
+const CowBlock& FillBlock(std::uint8_t fill) {
+  static const CowBlock zeros{};
+  static const CowBlock ones = [] {
+    CowBlock block;
+    block.fill(0xff);
+    return block;
+  }();
+  return fill == 0 ? zeros : ones;
 }
 
-bool AllZero(const std::uint8_t* p, std::size_t n) {
-  return n == 0 || (p[0] == 0 && std::memcmp(p, p + 1, n - 1) == 0);
+bool AllFill(const std::uint8_t* p, std::size_t n, std::uint8_t fill) {
+  return n == 0 || (p[0] == fill && std::memcmp(p, p + 1, n - 1) == 0);
 }
 
 }  // namespace
 
-BlockImage::BlockImage(std::uint64_t size)
+BlockImage::BlockImage(std::uint64_t size, std::uint8_t fill)
     : blocks_(static_cast<std::size_t>((size + kCowBlockSize - 1) /
                                        kCowBlockSize)),
-      size_(size) {}
+      size_(size),
+      fill_(fill) {
+  assert(fill == 0 || fill == 0xff);
+}
 
 BlockImage::BlockImage(ByteView bytes) : BlockImage(bytes.size()) {
   Write(0, bytes);
@@ -33,22 +43,23 @@ void BlockImage::Write(std::uint64_t offset, ByteView data) {
                                           std::size_t len) {
     CowBlockPtr& block = blocks_[index];
     const bool whole = len == kCowBlockSize;
-    if (AllZero(src, len) && (block == nullptr || whole)) {
+    if (AllFill(src, len, fill_) && (block == nullptr || whole)) {
       block = nullptr;
     } else if (whole && block.use_count() != 1) {
       // Every byte of a null or shared block is replaced: a fresh block,
-      // neither zeroed nor cloned (a snapshot keeps the one it shares).
+      // neither filled nor cloned (a snapshot keeps the one it shares).
       block = std::make_shared_for_overwrite<CowBlock>();
       std::memcpy(block->data(), src, len);
     } else {
-      std::memcpy(MutCowBlock(block).data() + in_block, src, len);
+      std::memcpy(MutCowBlock(block, fill_).data() + in_block, src, len);
     }
     src += len;
   });
 }
 
 ByteView BlockImage::Block(std::size_t i) const {
-  const CowBlock& block = blocks_[i] != nullptr ? *blocks_[i] : ZeroBlock();
+  const CowBlock& block =
+      blocks_[i] != nullptr ? *blocks_[i] : FillBlock(fill_);
   const std::uint64_t begin = std::uint64_t{i} * kCowBlockSize;
   return ByteView(block.data(),
                   static_cast<std::size_t>(
@@ -70,7 +81,10 @@ Bytes BlockImage::ToBytes() const {
 bool operator==(const BlockImage& a, const BlockImage& b) {
   if (a.size_ != b.size_) return false;
   for (std::size_t i = 0; i < a.blocks_.size(); ++i) {
-    if (a.blocks_[i] == b.blocks_[i]) continue;  // shared (or both null)
+    if (a.blocks_[i] == b.blocks_[i] &&
+        (a.blocks_[i] != nullptr || a.fill_ == b.fill_)) {
+      continue;  // shared, or both null on one fill
+    }
     const ByteView x = a.Block(i);
     if (std::memcmp(x.data(), b.Block(i).data(), x.size()) != 0) {
       return false;

@@ -76,6 +76,9 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   Status Read(std::uint64_t offset, std::span<std::uint8_t> out) override {
     return inner_->Read(offset, out);
   }
+  Status Scan(std::uint64_t offset, std::uint64_t n) override {
+    return inner_->Scan(offset, n);
+  }
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
   // Snapshots carry the full crash bookkeeping (durable image, its chunk

@@ -55,6 +55,11 @@ Status LatencyDisk::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
   return inner_->Read(offset, out);
 }
 
+Status LatencyDisk::Scan(std::uint64_t offset, std::uint64_t n) {
+  Charge(offset, n);
+  return inner_->Scan(offset, n);
+}
+
 Status LatencyDisk::Write(std::uint64_t offset, ByteView data) {
   Charge(offset, data.size());
   return inner_->Write(offset, data);

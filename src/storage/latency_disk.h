@@ -35,6 +35,7 @@ class LatencyDisk final : public BlockDevice {
   std::uint32_t block_size() const override { return inner_->block_size(); }
 
   Status Read(std::uint64_t offset, std::span<std::uint8_t> out) override;
+  Status Scan(std::uint64_t offset, std::uint64_t n) override;
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
 

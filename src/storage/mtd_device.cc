@@ -7,25 +7,20 @@ namespace mcfs::storage {
 
 MtdDevice::MtdDevice(std::string name, std::uint64_t size_bytes,
                      SimClock* clock, MtdOptions options)
-    : name_(std::move(name)),
-      options_(options),
-      clock_(clock),
-      data_(size_bytes, 0xff),
-      erase_counts_(size_bytes / options.erase_block_size, 0) {}
+    : MtdDevice(std::move(name), BlockImage(size_bytes, kErased), clock,
+                options) {}
 
-MtdDevice::MtdDevice(std::string name, Bytes image, SimClock* clock,
+MtdDevice::MtdDevice(std::string name, BlockImage image, SimClock* clock,
                      MtdOptions options)
     : name_(std::move(name)),
       options_(options),
       clock_(clock),
-      data_(std::move(image)),
-      erase_counts_(data_.size() / options.erase_block_size, 0) {}
+      image_(std::move(image)),
+      erase_counts_(image_.size() / options.erase_block_size, 0) {}
 
 Status MtdDevice::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
   if (!InBounds(offset, out.size())) return Errno::kEIO;
-  if (!out.empty()) {
-    std::memcpy(out.data(), data_.data() + offset, out.size());
-  }
+  image_.Read(offset, out);
   Charge((out.size() + 1023) / 1024 * options_.read_latency_per_kb);
   return Status::Ok();
 }
@@ -33,17 +28,22 @@ Status MtdDevice::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
 Status MtdDevice::Program(std::uint64_t offset, ByteView data) {
   if (!InBounds(offset, data.size())) return Errno::kEIO;
   // Flash programming can only clear bits; flipping 0 -> 1 needs an erase.
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    if ((data[i] & ~data_[offset + i]) != 0) return Errno::kEIO;
-  }
-  for (std::size_t i = 0; i < data.size(); ++i) {
-    data_[offset + i] &= data[i];
-  }
+  // The check reads the flash in place, block by block.
+  std::uint8_t sets = 0;  // bits the data would have to set
+  const std::uint8_t* src = data.data();
+  ForEachCowSpan(offset, data.size(), [&](std::size_t index,
+                                          std::size_t in_block,
+                                          std::size_t len) {
+    const std::uint8_t* flash = image_.Block(index).data() + in_block;
+    for (std::size_t i = 0; i < len; ++i) sets |= src[i] & ~flash[i];
+    src += len;
+  });
+  if (sets != 0) return Errno::kEIO;
+  // With no bit to set, flash AND data is data itself: it is both what
+  // gets written and the post-image the observer sees.
+  image_.Write(offset, data);
   Charge((data.size() + 1023) / 1024 * options_.write_latency_per_kb);
-  if (observer_ != nullptr) {
-    observer_->OnMtdWrite(
-        offset, ByteView(data_.data() + offset, data.size()));
-  }
+  if (observer_ != nullptr) observer_->OnMtdWrite(offset, data);
   return Status::Ok();
 }
 
@@ -51,13 +51,12 @@ Status MtdDevice::EraseBlock(std::uint32_t block_index) {
   if (block_index >= erase_counts_.size()) return Errno::kEINVAL;
   const std::uint64_t start =
       static_cast<std::uint64_t>(block_index) * options_.erase_block_size;
-  std::memset(data_.data() + start, 0xff, options_.erase_block_size);
+  // Whole image blocks of the fill go back to null.
+  const Bytes erased(options_.erase_block_size, kErased);
+  image_.Write(start, erased);
   ++erase_counts_[block_index];
   Charge(options_.erase_latency_per_block);
-  if (observer_ != nullptr) {
-    observer_->OnMtdWrite(
-        start, ByteView(data_.data() + start, options_.erase_block_size));
-  }
+  if (observer_ != nullptr) observer_->OnMtdWrite(start, erased);
   return Status::Ok();
 }
 
@@ -67,17 +66,17 @@ Status MtdDevice::Flush() {
 }
 
 DeviceSnapshot MtdDevice::SnapshotContents() const {
-  Charge((data_.size() + 1023) / 1024 * options_.read_latency_per_kb);
-  return DeviceSnapshot{BlockImage(data_), {}};
+  Charge((image_.size() + 1023) / 1024 * options_.read_latency_per_kb);
+  return DeviceSnapshot{image_, {}};
 }
 
 Status MtdDevice::RestoreContents(const DeviceSnapshot& contents) {
-  if (contents.image.size() != data_.size() ||
+  if (contents.image.size() != image_.size() ||
       !contents.bookkeeping.empty()) {
     return Errno::kEINVAL;
   }
   Charge((contents.size() + 1023) / 1024 * options_.read_latency_per_kb);
-  contents.image.Read(0, data_);
+  image_ = contents.image;
   return Status::Ok();
 }
 

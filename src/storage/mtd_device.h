@@ -38,29 +38,38 @@ struct MtdOptions {
 
 // Raw flash with erase-block discipline: bits can only be cleared by
 // writes (1 -> 0); setting them back requires erasing a whole block to 0xff.
+//
+// The flash is a BlockImage on a 0xff fill, so erased 4 KB blocks hold no
+// memory, and snapshots, restores and recovery probes share blocks
+// instead of copying the whole flash.
 class MtdDevice {
  public:
+  // What erased flash reads as.
+  static constexpr std::uint8_t kErased = 0xff;
+
+  // Fully erased flash of `size_bytes`.
   MtdDevice(std::string name, std::uint64_t size_bytes, SimClock* clock,
             MtdOptions options = {});
-  // Takes `image` as the flash contents, with no 0xff fill and no copy
-  // (crash recovery probes are built this way).
-  MtdDevice(std::string name, Bytes image, SimClock* clock,
+  // Takes `image` as the flash contents, sharing its blocks (crash
+  // recovery probes are built this way).
+  MtdDevice(std::string name, BlockImage image, SimClock* clock,
             MtdOptions options = {});
 
-  std::uint64_t size_bytes() const { return data_.size(); }
+  std::uint64_t size_bytes() const { return image_.size(); }
   std::uint32_t erase_block_size() const { return options_.erase_block_size; }
   std::uint32_t erase_block_count() const {
-    return static_cast<std::uint32_t>(data_.size() /
+    return static_cast<std::uint32_t>(image_.size() /
                                       options_.erase_block_size);
   }
 
   Status Read(std::uint64_t offset, std::span<std::uint8_t> out);
 
-  // Programs bytes; returns EIO if the write would need to flip any 0 -> 1
+  // Programs bytes: each flash byte becomes itself AND the new one.
+  // Returns EIO, changing nothing, if that would need to flip any 0 -> 1
   // (i.e., the region was not erased first).
   Status Program(std::uint64_t offset, ByteView data);
 
-  // Erases the erase-block containing `offset` back to 0xff.
+  // Erases erase-block `block_index` back to 0xff, freeing its blocks.
   Status EraseBlock(std::uint32_t block_index);
 
   // Write barrier. With no observer attached this is a no-op (RAM-backed
@@ -74,9 +83,8 @@ class MtdDevice {
   }
 
   // State capture passes read/rewrite the whole flash through the
-  // mtdblock view (the paper mmaps it, §4); charged at read rate. The
-  // flash stays one flat array (erased flash reads 0xff, not the zeros a
-  // never-written image block stands for), so both copy it once.
+  // mtdblock view (the paper mmaps it, §4); charged at read rate. Both
+  // share the image's blocks.
   DeviceSnapshot SnapshotContents() const;
   Status RestoreContents(const DeviceSnapshot& contents);
 
@@ -91,13 +99,13 @@ class MtdDevice {
     if (clock_ != nullptr) clock_->Advance(ns);
   }
   bool InBounds(std::uint64_t offset, std::uint64_t n) const {
-    return offset <= data_.size() && n <= data_.size() - offset;
+    return offset <= image_.size() && n <= image_.size() - offset;
   }
 
   std::string name_;
   MtdOptions options_;
   SimClock* clock_;
-  Bytes data_;
+  BlockImage image_;
   std::vector<std::uint64_t> erase_counts_;
   MtdWriteObserver* observer_ = nullptr;
 };

@@ -44,12 +44,19 @@ void RamDisk::ChargeSnapshotPass(std::uint64_t bytes) const {
 }
 
 Status RamDisk::Read(std::uint64_t offset, std::span<std::uint8_t> out) {
-  if (ConsumeInjectedError()) return Errno::kEIO;
-  if (!InBounds(offset, out.size())) return Errno::kEIO;
+  // A read is a scan plus the copy, so the two fail, count and charge
+  // alike by construction.
+  if (Status s = Scan(offset, out.size()); !s.ok()) return s;
   image_.Read(offset, out);
+  return Status::Ok();
+}
+
+Status RamDisk::Scan(std::uint64_t offset, std::uint64_t n) {
+  if (ConsumeInjectedError()) return Errno::kEIO;
+  if (!InBounds(offset, n)) return Errno::kEIO;
   ++stats_.reads;
-  stats_.bytes_read += out.size();
-  Charge(out.size());
+  stats_.bytes_read += n;
+  Charge(n);
   return Status::Ok();
 }
 

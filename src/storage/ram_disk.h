@@ -46,6 +46,8 @@ class RamDisk final : public BlockDevice {
   std::uint32_t block_size() const override { return options_.block_size; }
 
   Status Read(std::uint64_t offset, std::span<std::uint8_t> out) override;
+  // Fails, counts and charges without touching a block.
+  Status Scan(std::uint64_t offset, std::uint64_t n) override;
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
 

@@ -6,7 +6,8 @@
 // shared, which std::shared_ptr's use count records. A writer goes
 // through MutCowBlock(), which clones a shared block before handing it
 // out, so a snapshot's bytes never change under it and a write costs one
-// block copy at most. A null block reads as zeros and holds no memory
+// block copy at most. A null block reads as its owner's fill byte (zeros
+// for file data and RAM disks, 0xff for erased flash) and holds no memory
 // until it is first written.
 #pragma once
 
@@ -26,11 +27,12 @@ using CowBlock = std::array<std::uint8_t, kCowBlockSize>;
 using CowBlockPtr = std::shared_ptr<CowBlock>;
 using CowBlocks = std::vector<CowBlockPtr>;
 
-// The block behind `block`, ready to write: allocated zeroed if null,
-// cloned first if a snapshot still shares it.
-inline CowBlock& MutCowBlock(CowBlockPtr& block) {
+// The block behind `block`, ready to write: allocated and set to `fill`
+// if null, cloned first if a snapshot still shares it.
+inline CowBlock& MutCowBlock(CowBlockPtr& block, std::uint8_t fill) {
   if (block == nullptr) {
-    block = std::make_shared<CowBlock>();  // value-init: zeroed
+    block = std::make_shared_for_overwrite<CowBlock>();
+    block->fill(fill);
   } else if (block.use_count() > 1) {
     block = std::make_shared<CowBlock>(*block);
   }
@@ -53,8 +55,8 @@ void ForEachCowSpan(std::uint64_t off, std::uint64_t n, Fn&& fn) {
 }
 
 // Copies [off, off + out.size()) out of `blocks`; null blocks read as
-// zeros. The range must lie inside the blocks.
+// `fill`. The range must lie inside the blocks.
 void ReadCowBlocks(const CowBlocks& blocks, std::uint64_t off,
-                   std::span<std::uint8_t> out);
+                   std::span<std::uint8_t> out, std::uint8_t fill);
 
 }  // namespace mcfs

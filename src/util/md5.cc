@@ -9,31 +9,32 @@ namespace {
 constexpr std::uint32_t kInit[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
                                     0x10325476u};
 
-// Per-round left-rotation amounts.
-constexpr int kShift[64] = {
-    7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
-    5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
-    4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
-    6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
-
-// Binary integer parts of abs(sin(i+1)) * 2^32.
-constexpr std::uint32_t kSine[64] = {
-    0xd76aa478u, 0xe8c7b756u, 0x242070dbu, 0xc1bdceeeu, 0xf57c0fafu,
-    0x4787c62au, 0xa8304613u, 0xfd469501u, 0x698098d8u, 0x8b44f7afu,
-    0xffff5bb1u, 0x895cd7beu, 0x6b901122u, 0xfd987193u, 0xa679438eu,
-    0x49b40821u, 0xf61e2562u, 0xc040b340u, 0x265e5a51u, 0xe9b6c7aau,
-    0xd62f105du, 0x02441453u, 0xd8a1e681u, 0xe7d3fbc8u, 0x21e1cde6u,
-    0xc33707d6u, 0xf4d50d87u, 0x455a14edu, 0xa9e3e905u, 0xfcefa3f8u,
-    0x676f02d9u, 0x8d2a4c8au, 0xfffa3942u, 0x8771f681u, 0x6d9d6122u,
-    0xfde5380cu, 0xa4beea44u, 0x4bdecfa9u, 0xf6bb4b60u, 0xbebfbc70u,
-    0x289b7ec6u, 0xeaa127fau, 0xd4ef3085u, 0x04881d05u, 0xd9d4d039u,
-    0xe6db99e5u, 0x1fa27cf8u, 0xc4ac5665u, 0xf4292244u, 0x432aff97u,
-    0xab9423a7u, 0xfc93a039u, 0x655b59c3u, 0x8f0ccc92u, 0xffeff47du,
-    0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
-    0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
-
 constexpr std::uint32_t Rotl(std::uint32_t x, int c) {
   return (x << c) | (x >> (32 - c));
+}
+
+// The four round functions, in the forms with one operation fewer than
+// RFC 1321's: F = (b & c) | (~b & d) and G = (b & d) | (c & ~d) select
+// bits, which the xor-and-xor form does without a complement.
+constexpr std::uint32_t F(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return d ^ (b & (c ^ d));
+}
+constexpr std::uint32_t G(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return c ^ (d & (b ^ c));
+}
+constexpr std::uint32_t H(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return b ^ c ^ d;
+}
+constexpr std::uint32_t I(std::uint32_t b, std::uint32_t c, std::uint32_t d) {
+  return c ^ (b | ~d);
+}
+
+// One step: a = b + ((a + f(b, c, d) + x + t) <<< s), with the shift a
+// template argument so every rotate is by a constant.
+template <int kShift>
+inline void Step(std::uint32_t& a, std::uint32_t b, std::uint32_t f,
+                 std::uint32_t x, std::uint32_t t) {
+  a = b + Rotl(a + f + x + t, kShift);
 }
 
 }  // namespace
@@ -138,29 +139,78 @@ void Md5::ProcessBlock(const std::uint8_t block[64]) {
            (static_cast<std::uint32_t>(block[i * 4 + 3]) << 24);
   }
 
+  // The 64 steps of RFC 1321 section 3.4, unrolled: each names its
+  // round function, message word, sine constant and shift, so no step
+  // branches on its round or looks anything up.
   std::uint32_t a = state_[0], b = state_[1], c = state_[2], d = state_[3];
-  for (int i = 0; i < 64; ++i) {
-    std::uint32_t f;
-    int g;
-    if (i < 16) {
-      f = (b & c) | (~b & d);
-      g = i;
-    } else if (i < 32) {
-      f = (d & b) | (~d & c);
-      g = (5 * i + 1) % 16;
-    } else if (i < 48) {
-      f = b ^ c ^ d;
-      g = (3 * i + 5) % 16;
-    } else {
-      f = c ^ (b | ~d);
-      g = (7 * i) % 16;
-    }
-    const std::uint32_t temp = d;
-    d = c;
-    c = b;
-    b = b + Rotl(a + f + kSine[i] + m[g], kShift[i]);
-    a = temp;
-  }
+
+  Step<7>(a, b, F(b, c, d), m[0], 0xd76aa478u);
+  Step<12>(d, a, F(a, b, c), m[1], 0xe8c7b756u);
+  Step<17>(c, d, F(d, a, b), m[2], 0x242070dbu);
+  Step<22>(b, c, F(c, d, a), m[3], 0xc1bdceeeu);
+  Step<7>(a, b, F(b, c, d), m[4], 0xf57c0fafu);
+  Step<12>(d, a, F(a, b, c), m[5], 0x4787c62au);
+  Step<17>(c, d, F(d, a, b), m[6], 0xa8304613u);
+  Step<22>(b, c, F(c, d, a), m[7], 0xfd469501u);
+  Step<7>(a, b, F(b, c, d), m[8], 0x698098d8u);
+  Step<12>(d, a, F(a, b, c), m[9], 0x8b44f7afu);
+  Step<17>(c, d, F(d, a, b), m[10], 0xffff5bb1u);
+  Step<22>(b, c, F(c, d, a), m[11], 0x895cd7beu);
+  Step<7>(a, b, F(b, c, d), m[12], 0x6b901122u);
+  Step<12>(d, a, F(a, b, c), m[13], 0xfd987193u);
+  Step<17>(c, d, F(d, a, b), m[14], 0xa679438eu);
+  Step<22>(b, c, F(c, d, a), m[15], 0x49b40821u);
+
+  Step<5>(a, b, G(b, c, d), m[1], 0xf61e2562u);
+  Step<9>(d, a, G(a, b, c), m[6], 0xc040b340u);
+  Step<14>(c, d, G(d, a, b), m[11], 0x265e5a51u);
+  Step<20>(b, c, G(c, d, a), m[0], 0xe9b6c7aau);
+  Step<5>(a, b, G(b, c, d), m[5], 0xd62f105du);
+  Step<9>(d, a, G(a, b, c), m[10], 0x02441453u);
+  Step<14>(c, d, G(d, a, b), m[15], 0xd8a1e681u);
+  Step<20>(b, c, G(c, d, a), m[4], 0xe7d3fbc8u);
+  Step<5>(a, b, G(b, c, d), m[9], 0x21e1cde6u);
+  Step<9>(d, a, G(a, b, c), m[14], 0xc33707d6u);
+  Step<14>(c, d, G(d, a, b), m[3], 0xf4d50d87u);
+  Step<20>(b, c, G(c, d, a), m[8], 0x455a14edu);
+  Step<5>(a, b, G(b, c, d), m[13], 0xa9e3e905u);
+  Step<9>(d, a, G(a, b, c), m[2], 0xfcefa3f8u);
+  Step<14>(c, d, G(d, a, b), m[7], 0x676f02d9u);
+  Step<20>(b, c, G(c, d, a), m[12], 0x8d2a4c8au);
+
+  Step<4>(a, b, H(b, c, d), m[5], 0xfffa3942u);
+  Step<11>(d, a, H(a, b, c), m[8], 0x8771f681u);
+  Step<16>(c, d, H(d, a, b), m[11], 0x6d9d6122u);
+  Step<23>(b, c, H(c, d, a), m[14], 0xfde5380cu);
+  Step<4>(a, b, H(b, c, d), m[1], 0xa4beea44u);
+  Step<11>(d, a, H(a, b, c), m[4], 0x4bdecfa9u);
+  Step<16>(c, d, H(d, a, b), m[7], 0xf6bb4b60u);
+  Step<23>(b, c, H(c, d, a), m[10], 0xbebfbc70u);
+  Step<4>(a, b, H(b, c, d), m[13], 0x289b7ec6u);
+  Step<11>(d, a, H(a, b, c), m[0], 0xeaa127fau);
+  Step<16>(c, d, H(d, a, b), m[3], 0xd4ef3085u);
+  Step<23>(b, c, H(c, d, a), m[6], 0x04881d05u);
+  Step<4>(a, b, H(b, c, d), m[9], 0xd9d4d039u);
+  Step<11>(d, a, H(a, b, c), m[12], 0xe6db99e5u);
+  Step<16>(c, d, H(d, a, b), m[15], 0x1fa27cf8u);
+  Step<23>(b, c, H(c, d, a), m[2], 0xc4ac5665u);
+
+  Step<6>(a, b, I(b, c, d), m[0], 0xf4292244u);
+  Step<10>(d, a, I(a, b, c), m[7], 0x432aff97u);
+  Step<15>(c, d, I(d, a, b), m[14], 0xab9423a7u);
+  Step<21>(b, c, I(c, d, a), m[5], 0xfc93a039u);
+  Step<6>(a, b, I(b, c, d), m[12], 0x655b59c3u);
+  Step<10>(d, a, I(a, b, c), m[3], 0x8f0ccc92u);
+  Step<15>(c, d, I(d, a, b), m[10], 0xffeff47du);
+  Step<21>(b, c, I(c, d, a), m[1], 0x85845dd1u);
+  Step<6>(a, b, I(b, c, d), m[8], 0x6fa87e4fu);
+  Step<10>(d, a, I(a, b, c), m[15], 0xfe2ce6e0u);
+  Step<15>(c, d, I(d, a, b), m[6], 0xa3014314u);
+  Step<21>(b, c, I(c, d, a), m[13], 0x4e0811a1u);
+  Step<6>(a, b, I(b, c, d), m[4], 0xf7537e82u);
+  Step<10>(d, a, I(a, b, c), m[11], 0xbd3af235u);
+  Step<15>(c, d, I(d, a, b), m[2], 0x2ad7d2bbu);
+  Step<21>(b, c, I(c, d, a), m[9], 0xeb86d391u);
 
   state_[0] += a;
   state_[1] += b;

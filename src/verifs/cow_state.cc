@@ -19,8 +19,8 @@ void CowBuffer::Zero(std::uint64_t off, std::uint64_t n) {
   ForEachCowSpan(off, n,
                  [this](std::size_t index, std::size_t in_block,
                         std::size_t len) {
-                   std::memset(MutCowBlock(blocks_[index]).data() + in_block,
-                               0, len);
+                   CowBlock& block = MutCowBlock(blocks_[index], 0);
+                   std::memset(block.data() + in_block, 0, len);
                  });
 }
 
@@ -31,15 +31,15 @@ void CowBuffer::Write(std::uint64_t off, ByteView data) {
   ForEachCowSpan(off, data.size(),
                  [&](std::size_t index, std::size_t in_block,
                      std::size_t len) {
-                   std::memcpy(MutCowBlock(blocks_[index]).data() + in_block,
-                               src, len);
+                   CowBlock& block = MutCowBlock(blocks_[index], 0);
+                   std::memcpy(block.data() + in_block, src, len);
                    src += len;
                  });
 }
 
 Bytes CowBuffer::ReadBytes(std::uint64_t off, std::uint64_t n) const {
   Bytes out(n);
-  ReadCowBlocks(blocks_, off, out);
+  ReadCowBlocks(blocks_, off, out, 0);
   return out;
 }
 

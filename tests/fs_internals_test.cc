@@ -339,6 +339,41 @@ TEST(XfsInternals, PersistsThroughRawDeviceBytes) {
   EXPECT_EQ(AsString(data.value()), "xfs-bytes");
 }
 
+// Regression: Mount sized its inode-used map from the superblock's
+// inode_count and read one table block per inode, so an image claiming
+// 0xffffffff inodes made it allocate 512 MB and issue ~65,000 reads
+// before failing. A superblock whose geometry is not the one Mkfs writes
+// for this device and these options is now rejected before anything is
+// allocated: the device serves the mount scan and the superblock read,
+// nothing more.
+TEST(XfsInternals, HostileSuperblockGeometryIsRejectedBeforeReadingOn) {
+  constexpr std::uint64_t kTotalBlocksField = 8;
+  constexpr std::uint64_t kInodeCountField = 12;
+  for (const auto& [field, value] :
+       {std::pair{kInodeCountField, 0xffffffffu},
+        std::pair{kInodeCountField, XfsOptions{}.inode_count + 1},
+        std::pair{kTotalBlocksField, 0xffffffffu},
+        std::pair{kTotalBlocksField, 4095u}}) {
+    auto ram = std::make_shared<storage::RamDisk>("d", XfsFs::kMinFsBytes,
+                                                  nullptr);
+    {
+      XfsFs fs(ram);
+      ASSERT_TRUE(fs.Mkfs().ok());
+    }
+    ByteWriter w;
+    w.PutU32(value);
+    ASSERT_TRUE(ram->Write(field, w.bytes()).ok());
+    const std::uint64_t reads_before = ram->stats().reads;
+    XfsFs fresh(ram);
+    EXPECT_EQ(fresh.Mount().error(), Errno::kEINVAL)
+        << "field " << field << " = " << value;
+    const std::uint64_t scan_reads =
+        XfsFs::kMinFsBytes / XfsOptions{}.mount_scan_chunk;
+    EXPECT_LE(ram->stats().reads - reads_before, scan_reads + 1)
+        << "field " << field << " = " << value;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // jffs2f: log-structured behaviour on flash
 

@@ -1,8 +1,9 @@
 // Unit tests for the storage substrates: RAM disk (brd/brd2 semantics),
 // its copy-on-write block image (a seeded differential against a flat
-// byte model), the exact simulated cost of device capture, HDD/SSD
-// latency decorators, and the MTD flash device with its mtdblock-style
-// shim.
+// byte model) and the image's fill byte, the exact simulated cost of
+// device capture, HDD/SSD latency decorators, the charge-only Scan on
+// every device, and the MTD flash device (a seeded differential against
+// a flat 0xff model) with its mtdblock-style shim.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +11,9 @@
 #include <limits>
 #include <map>
 #include <string>
+#include <vector>
 
+#include "storage/crashable_disk.h"
 #include "storage/latency_disk.h"
 #include "storage/mtd_device.h"
 #include "storage/ram_disk.h"
@@ -427,6 +430,308 @@ TEST(MtdDeviceTest, ChargesEraseLatency) {
   const SimClock::Nanos read_cost = clock.now();
   ASSERT_TRUE(mtd.EraseBlock(0).ok());
   EXPECT_GT(clock.now() - read_cost, read_cost);  // erase >> read
+}
+
+// ---------------------------------------------------------------------------
+// Block image fill
+
+TEST(BlockImageTest, NullBlocksReadAsTheFill) {
+  const BlockImage erased(10'000, 0xff);
+  EXPECT_EQ(erased.fill(), 0xff);
+  EXPECT_EQ(erased.allocated_blocks(), 0u);
+  Bytes out(10'000, 0);
+  erased.Read(0, out);
+  EXPECT_EQ(out, Bytes(10'000, 0xff));
+  const ByteView last = erased.Block(2);
+  EXPECT_EQ(Bytes(last.begin(), last.end()),
+            Bytes(10'000 - 2 * kCowBlockSize, 0xff));
+  EXPECT_EQ(erased.ToBytes(), Bytes(10'000, 0xff));
+}
+
+TEST(BlockImageTest, FillWritesAllocateNothingAndFreeWholeBlocks) {
+  BlockImage image(3 * kCowBlockSize, 0xff);
+  // A partial write of the fill leaves its null block null.
+  image.Write(100, Bytes(10, 0xff));
+  EXPECT_EQ(image.allocated_blocks(), 0u);
+  // Any other byte allocates the block, set to the fill around it.
+  image.Write(kCowBlockSize + 10, Bytes{0x12, 0x34});
+  EXPECT_EQ(image.allocated_blocks(), 1u);
+  Bytes out(4);
+  image.Read(kCowBlockSize + 9, out);
+  EXPECT_EQ(out, (Bytes{0xff, 0x12, 0x34, 0xff}));
+  // A partial fill write to an allocated block keeps it allocated...
+  image.Write(kCowBlockSize + 10, Bytes(2, 0xff));
+  EXPECT_EQ(image.allocated_blocks(), 1u);
+  // ...and a whole-block fill write frees it.
+  image.Write(kCowBlockSize, Bytes(kCowBlockSize, 0xff));
+  EXPECT_EQ(image.allocated_blocks(), 0u);
+  // Zeros are data on a 0xff fill: a whole block of them is allocated.
+  image.Write(0, Bytes(kCowBlockSize, 0));
+  EXPECT_EQ(image.allocated_blocks(), 1u);
+}
+
+TEST(BlockImageTest, EqualityIsContentAcrossFills) {
+  constexpr std::uint64_t kBytes = 2 * kCowBlockSize + 100;
+  const BlockImage erased(kBytes, 0xff);
+  const BlockImage zeros(kBytes);
+  EXPECT_FALSE(erased == zeros);  // both all-null, different bytes
+  BlockImage ones_on_zero(kBytes);
+  ones_on_zero.Write(0, Bytes(kBytes, 0xff));
+  EXPECT_EQ(ones_on_zero.allocated_blocks(), 3u);
+  EXPECT_TRUE(erased == ones_on_zero);
+  EXPECT_TRUE(ones_on_zero == erased);
+  ones_on_zero.Write(kBytes - 1, Bytes{0xfe});
+  EXPECT_FALSE(erased == ones_on_zero);
+  BlockImage zeros_on_ones(kBytes, 0xff);
+  zeros_on_ones.Write(0, Bytes(kBytes, 0));
+  EXPECT_TRUE(zeros == zeros_on_ones);
+}
+
+// ---------------------------------------------------------------------------
+// Charge-only scans: Scan(offset, n) must fail, count and charge exactly
+// as Read(offset, n bytes) does on the same device in the same state, and
+// leave it in the same state for the next call (the HDD head, an
+// injected fault's countdown).
+
+struct ScanRig {
+  SimClock clock;
+  std::shared_ptr<RamDisk> ram;  // null on the MTD rig
+  BlockDevicePtr dev;
+};
+
+enum class ScanDevice { kRam, kHdd, kSsd, kCrashable, kMtdShim };
+
+std::string_view ScanDeviceName(ScanDevice kind) {
+  switch (kind) {
+    case ScanDevice::kRam: return "ram";
+    case ScanDevice::kHdd: return "hdd";
+    case ScanDevice::kSsd: return "ssd";
+    case ScanDevice::kCrashable: return "crashable";
+    case ScanDevice::kMtdShim: return "mtd shim";
+  }
+  return "?";
+}
+
+constexpr std::uint64_t kScanBytes = 256 * 1024;
+
+std::unique_ptr<ScanRig> MakeScanRig(ScanDevice kind) {
+  auto rig = std::make_unique<ScanRig>();
+  if (kind == ScanDevice::kMtdShim) {
+    rig->dev = std::make_shared<MtdBlockShim>(
+        std::make_shared<MtdDevice>("mtd", kScanBytes, &rig->clock));
+  } else {
+    rig->ram = std::make_shared<RamDisk>("d", kScanBytes, &rig->clock);
+    rig->dev = rig->ram;
+    if (kind == ScanDevice::kHdd || kind == ScanDevice::kSsd) {
+      rig->dev = std::make_shared<LatencyDisk>(
+          rig->ram,
+          kind == ScanDevice::kHdd ? LatencyProfile::Hdd()
+                                   : LatencyProfile::Ssd(),
+          &rig->clock);
+    } else if (kind == ScanDevice::kCrashable) {
+      rig->dev = std::make_shared<CrashableDisk>(rig->ram);
+    }
+  }
+  // Some contents, and the HDD head away from 0.
+  EXPECT_TRUE(rig->dev->Write(100 * 1024, Bytes(5000, 0x5a)).ok());
+  return rig;
+}
+
+void ExpectSameStats(const DeviceStats& a, const DeviceStats& b,
+                     const std::string& where) {
+  EXPECT_EQ(a.reads, b.reads) << where;
+  EXPECT_EQ(a.writes, b.writes) << where;
+  EXPECT_EQ(a.bytes_read, b.bytes_read) << where;
+  EXPECT_EQ(a.bytes_written, b.bytes_written) << where;
+  EXPECT_EQ(a.flushes, b.flushes) << where;
+}
+
+TEST(BlockDeviceScanTest, ScanFailsCountsAndChargesExactlyAsRead) {
+  struct Case {
+    const char* name;
+    std::uint64_t offset;
+    std::uint64_t n;
+    bool inject_fault;
+  };
+  const std::vector<Case> cases = {
+      {"in range", 64 * 1024, 64 * 1024, false},
+      {"whole device", 0, kScanBytes, false},
+      {"empty", 1000, 0, false},
+      {"past the end", kScanBytes - 10, 64, false},
+      {"wrapping offset", std::numeric_limits<std::uint64_t>::max() - 7, 16,
+       false},
+      {"injected fault", 0, 4096, true},
+  };
+  for (ScanDevice kind : {ScanDevice::kRam, ScanDevice::kHdd, ScanDevice::kSsd,
+                          ScanDevice::kCrashable, ScanDevice::kMtdShim}) {
+    for (const Case& c : cases) {
+      if (c.inject_fault && kind == ScanDevice::kMtdShim) continue;
+      const std::string where = std::string(ScanDeviceName(kind)) + ", " +
+                                c.name;
+      auto read_rig = MakeScanRig(kind);
+      auto scan_rig = MakeScanRig(kind);
+      if (c.inject_fault) {
+        read_rig->ram->InjectIoErrors(1);
+        scan_rig->ram->InjectIoErrors(1);
+      }
+      const SimClock::Nanos read_t0 = read_rig->clock.now();
+      const SimClock::Nanos scan_t0 = scan_rig->clock.now();
+      Bytes buf(c.n);
+      const Status read = read_rig->dev->Read(c.offset, buf);
+      const Status scan = scan_rig->dev->Scan(c.offset, c.n);
+      EXPECT_EQ(scan.error(), read.error()) << where;
+      EXPECT_EQ(scan_rig->clock.now() - scan_t0,
+                read_rig->clock.now() - read_t0)
+          << where;
+      ExpectSameStats(scan_rig->dev->stats(), read_rig->dev->stats(), where);
+      // The next read sees the same device: same head, same fault count.
+      Bytes next(512);
+      EXPECT_TRUE(read_rig->dev->Read(200 * 1024, next).ok()) << where;
+      EXPECT_TRUE(scan_rig->dev->Read(200 * 1024, next).ok()) << where;
+      EXPECT_EQ(scan_rig->clock.now() - scan_t0,
+                read_rig->clock.now() - read_t0)
+          << where << ", next read";
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
+// MTD differential: Program, EraseBlock, Read, snapshots and restores on
+// an MtdDevice against a flat byte model of the flash, with the write
+// observer's notifications checked too. Two geometries: the default
+// 16 KB erase blocks, and 6 KB ones on a flash whose size is not a
+// multiple of the 4 KB image block, so erases free some blocks and
+// rewrite parts of others.
+
+class RecordingObserver final : public MtdWriteObserver {
+ public:
+  void OnMtdWrite(std::uint64_t offset, ByteView after) override {
+    writes.emplace_back(offset, Bytes(after.begin(), after.end()));
+  }
+  Status OnMtdBarrier() override { return Status::Ok(); }
+
+  std::vector<std::pair<std::uint64_t, Bytes>> writes;
+};
+
+TEST(MtdDeviceTest, FreshAndFullyErasedFlashAllocatesNothing) {
+  MtdDevice mtd("mtd0", 1024 * 1024, nullptr);
+  EXPECT_EQ(mtd.SnapshotContents().image.allocated_blocks(), 0u);
+  // Bytes 5000..13999 lie in image blocks 1..3.
+  ASSERT_TRUE(mtd.Program(5000, Bytes(9000, 0x00)).ok());
+  EXPECT_EQ(mtd.SnapshotContents().image.allocated_blocks(), 3u);
+  ASSERT_TRUE(mtd.EraseBlock(0).ok());
+  EXPECT_EQ(mtd.SnapshotContents().image.allocated_blocks(), 0u);
+}
+
+TEST(MtdDeviceDifferential, MatchesFlatErasedModel) {
+  for (const auto& [erase_block, blocks] :
+       {std::pair<std::uint32_t, std::uint64_t>{16 * 1024, 4},
+        std::pair<std::uint32_t, std::uint64_t>{6 * 1024, 5}}) {
+    MtdOptions options;
+    options.erase_block_size = erase_block;
+    const std::uint64_t kBytes = erase_block * blocks;
+    for (std::uint64_t seed = 1; seed <= 6; ++seed) {
+      Rng rng(seed);
+      MtdDevice mtd("mtd0", kBytes, nullptr, options);
+      RecordingObserver observer;
+      mtd.set_write_observer(&observer);
+      Bytes model(kBytes, 0xff);
+      std::map<int, std::pair<DeviceSnapshot, Bytes>> snapshots;
+      int next_id = 0;
+      for (int step = 0; step < 300; ++step) {
+        const std::string where = "erase block " + std::to_string(erase_block) +
+                                  " seed " + std::to_string(seed) + " step " +
+                                  std::to_string(step);
+        observer.writes.clear();
+        const std::uint64_t pick = rng.Below(100);
+        if (pick < 40) {
+          // Mostly legal programs (a random subset of the set bits), a
+          // third arbitrary bytes, which need a 0 -> 1 flip unless the
+          // range is still erased.
+          const std::uint64_t offset = rng.Below(kBytes);
+          Bytes data(1 + rng.Below(std::min<std::uint64_t>(9'000,
+                                                           kBytes - offset)));
+          const bool arbitrary = rng.Below(3) == 0;
+          bool legal = true;
+          for (std::size_t i = 0; i < data.size(); ++i) {
+            data[i] = static_cast<std::uint8_t>(rng.Next());
+            if (!arbitrary) data[i] &= model[offset + i];
+            legal = legal && (data[i] & ~model[offset + i]) == 0;
+          }
+          const Status s = mtd.Program(offset, data);
+          if (legal) {
+            ASSERT_TRUE(s.ok()) << where;
+            std::copy(data.begin(), data.end(), model.begin() + offset);
+            ASSERT_EQ(observer.writes.size(), 1u) << where;
+            EXPECT_EQ(observer.writes[0].first, offset) << where;
+            EXPECT_EQ(observer.writes[0].second, data) << where;
+          } else {
+            EXPECT_EQ(s.error(), Errno::kEIO) << where;
+            EXPECT_TRUE(observer.writes.empty()) << where;
+          }
+        } else if (pick < 55) {
+          const auto block = static_cast<std::uint32_t>(rng.Below(blocks + 1));
+          const Status s = mtd.EraseBlock(block);
+          if (block == blocks) {
+            EXPECT_EQ(s.error(), Errno::kEINVAL) << where;
+            EXPECT_TRUE(observer.writes.empty()) << where;
+          } else {
+            ASSERT_TRUE(s.ok()) << where;
+            const std::uint64_t start = std::uint64_t{block} * erase_block;
+            std::fill_n(model.begin() + start, erase_block, 0xff);
+            ASSERT_EQ(observer.writes.size(), 1u) << where;
+            EXPECT_EQ(observer.writes[0].first, start) << where;
+            EXPECT_EQ(observer.writes[0].second, Bytes(erase_block, 0xff))
+                << where;
+          }
+        } else if (pick < 65) {
+          const std::uint64_t offset = rng.Below(kBytes + 1);
+          Bytes out(rng.Below(kBytes - offset + 1));
+          ASSERT_TRUE(mtd.Read(offset, out).ok()) << where;
+          EXPECT_TRUE(std::equal(out.begin(), out.end(),
+                                 model.begin() + offset))
+              << where;
+        } else if (pick < 78) {
+          snapshots[next_id++] = {mtd.SnapshotContents(), model};
+        } else if (pick < 90 && !snapshots.empty()) {
+          auto it = std::next(snapshots.begin(),
+                              static_cast<std::ptrdiff_t>(
+                                  rng.Below(snapshots.size())));
+          ASSERT_TRUE(mtd.RestoreContents(it->second.first).ok()) << where;
+          model = it->second.second;
+        } else if (!snapshots.empty()) {
+          snapshots.erase(std::next(snapshots.begin(),
+                                    static_cast<std::ptrdiff_t>(
+                                        rng.Below(snapshots.size()))));
+        }
+
+        const std::uint64_t wrong =
+            rng.Below(2) == 0 ? kBytes - kCowBlockSize : kBytes + 1;
+        EXPECT_EQ(mtd.RestoreContents(
+                         DeviceSnapshot{BlockImage(wrong, 0xff), {}})
+                      .error(),
+                  Errno::kEINVAL)
+            << where;
+        Bytes all(kBytes);
+        ASSERT_TRUE(mtd.Read(0, all).ok()) << where;
+        ASSERT_EQ(all, model) << where;
+        for (const auto& [id, snap] : snapshots) {
+          ASSERT_EQ(snap.first.image.ToBytes(), snap.second)
+              << where << " snapshot " << id;
+        }
+      }
+      mtd.set_write_observer(nullptr);
+      // Erasing everything frees every block, whatever was shared.
+      for (std::uint32_t b = 0; b < blocks; ++b) {
+        ASSERT_TRUE(mtd.EraseBlock(b).ok());
+      }
+      const BlockImage erased = mtd.SnapshotContents().image;
+      if (kBytes % kCowBlockSize == 0) {
+        EXPECT_EQ(erased.allocated_blocks(), 0u);
+      }
+      EXPECT_TRUE(erased == BlockImage(kBytes, 0xff));
+    }
+  }
 }
 
 }  // namespace

@@ -1,11 +1,13 @@
-// Unit tests for the util layer: MD5 (against RFC 1321 vectors), CRC-32,
+// Unit tests for the util layer: MD5 (against RFC 1321 vectors), CRC-32C,
 // Result, byte serialization, deterministic RNG, and the simulated clock.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <limits>
+#include <vector>
 
 #include "util/bytes.h"
-#include "util/crc32.h"
+#include "util/crc32c.h"
 #include "util/md5.h"
 #include "util/result.h"
 #include "util/rng.h"
@@ -75,29 +77,153 @@ TEST(Md5Test, UpdateU64IsLittleEndianAndOrderSensitive) {
   EXPECT_NE(a.Final(), b.Final());
 }
 
-// ---------------------------------------------------------------------------
-// CRC-32: the standard check values, and the slice-by-8 path against a
-// bit-at-a-time reference at every length and alignment it splits on.
+TEST(Md5Test, MillionAs) {
+  const std::string million(1'000'000, 'a');
+  EXPECT_EQ(Md5::Hash(million).ToHex(), "7707d6ae4e027c70eea2a935c2296f21");
+}
 
-std::uint32_t BitwiseCrc32(ByteView data) {
-  std::uint32_t crc = 0xffffffffu;
+// MD5 in RFC 1321's loop form, as Md5 computed it before its steps were
+// unrolled: per-step round branches and table-driven shifts and message
+// indices. The unrolled form must give the same digest on every input.
+std::string LoopFormMd5Hex(ByteView data) {
+  static constexpr int kShift[64] = {
+      7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22, 7, 12, 17, 22,
+      5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20, 5, 9,  14, 20,
+      4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23, 4, 11, 16, 23,
+      6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21, 6, 10, 15, 21};
+  static constexpr std::uint32_t kSine[64] = {
+      0xd76aa478u, 0xe8c7b756u, 0x242070dbu, 0xc1bdceeeu, 0xf57c0fafu,
+      0x4787c62au, 0xa8304613u, 0xfd469501u, 0x698098d8u, 0x8b44f7afu,
+      0xffff5bb1u, 0x895cd7beu, 0x6b901122u, 0xfd987193u, 0xa679438eu,
+      0x49b40821u, 0xf61e2562u, 0xc040b340u, 0x265e5a51u, 0xe9b6c7aau,
+      0xd62f105du, 0x02441453u, 0xd8a1e681u, 0xe7d3fbc8u, 0x21e1cde6u,
+      0xc33707d6u, 0xf4d50d87u, 0x455a14edu, 0xa9e3e905u, 0xfcefa3f8u,
+      0x676f02d9u, 0x8d2a4c8au, 0xfffa3942u, 0x8771f681u, 0x6d9d6122u,
+      0xfde5380cu, 0xa4beea44u, 0x4bdecfa9u, 0xf6bb4b60u, 0xbebfbc70u,
+      0x289b7ec6u, 0xeaa127fau, 0xd4ef3085u, 0x04881d05u, 0xd9d4d039u,
+      0xe6db99e5u, 0x1fa27cf8u, 0xc4ac5665u, 0xf4292244u, 0x432aff97u,
+      0xab9423a7u, 0xfc93a039u, 0x655b59c3u, 0x8f0ccc92u, 0xffeff47du,
+      0x85845dd1u, 0x6fa87e4fu, 0xfe2ce6e0u, 0xa3014314u, 0x4e0811a1u,
+      0xf7537e82u, 0xbd3af235u, 0x2ad7d2bbu, 0xeb86d391u};
+  Bytes msg(data.begin(), data.end());
+  const std::uint64_t bits = static_cast<std::uint64_t>(data.size()) * 8;
+  msg.push_back(0x80);
+  while (msg.size() % 64 != 56) msg.push_back(0);
+  for (int i = 0; i < 8; ++i) {
+    msg.push_back(static_cast<std::uint8_t>(bits >> (8 * i)));
+  }
+
+  std::uint32_t state[4] = {0x67452301u, 0xefcdab89u, 0x98badcfeu,
+                            0x10325476u};
+  for (std::size_t block = 0; block < msg.size(); block += 64) {
+    std::uint32_t m[16];
+    for (int i = 0; i < 16; ++i) {
+      const std::uint8_t* p = msg.data() + block + 4 * i;
+      m[i] = static_cast<std::uint32_t>(p[0]) |
+             static_cast<std::uint32_t>(p[1]) << 8 |
+             static_cast<std::uint32_t>(p[2]) << 16 |
+             static_cast<std::uint32_t>(p[3]) << 24;
+    }
+    std::uint32_t a = state[0], b = state[1], c = state[2], d = state[3];
+    for (int i = 0; i < 64; ++i) {
+      std::uint32_t f;
+      int g;
+      if (i < 16) {
+        f = (b & c) | (~b & d);
+        g = i;
+      } else if (i < 32) {
+        f = (d & b) | (~d & c);
+        g = (5 * i + 1) % 16;
+      } else if (i < 48) {
+        f = b ^ c ^ d;
+        g = (3 * i + 5) % 16;
+      } else {
+        f = c ^ (b | ~d);
+        g = (7 * i) % 16;
+      }
+      const std::uint32_t sum = a + f + kSine[i] + m[g];
+      const std::uint32_t temp = d;
+      d = c;
+      c = b;
+      b = b + ((sum << kShift[i]) | (sum >> (32 - kShift[i])));
+      a = temp;
+    }
+    state[0] += a;
+    state[1] += b;
+    state[2] += c;
+    state[3] += d;
+  }
+  Md5Digest digest;
+  for (int i = 0; i < 16; ++i) {
+    digest.bytes[i] = static_cast<std::uint8_t>(state[i / 4] >> (8 * (i % 4)));
+  }
+  return digest.ToHex();
+}
+
+// Hashes `data` in pieces cut by a seeded RNG (some empty, some longer
+// than a block).
+Md5Digest SplitMd5(ByteView data, std::uint64_t seed) {
+  Rng rng(seed);
+  Md5 ctx;
+  std::size_t offset = 0;
+  while (offset < data.size()) {
+    const std::size_t take = std::min<std::size_t>(
+        data.size() - offset, rng.Below(rng.Below(4) == 0 ? 4096 : 130));
+    ctx.Update(data.subspan(offset, take));
+    offset += take;
+  }
+  return ctx.Final();
+}
+
+TEST(Md5Test, UnrolledMatchesLoopForm) {
+  Rng rng(5);
+  Bytes data(1 << 20);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  for (std::size_t len = 0; len <= 300; ++len) {
+    const ByteView piece = ByteView(data).first(len);
+    const std::string want = LoopFormMd5Hex(piece);
+    ASSERT_EQ(Md5::Hash(piece).ToHex(), want) << "length " << len;
+    ASSERT_EQ(SplitMd5(piece, len).ToHex(), want) << "split, length " << len;
+  }
+  const std::string want = LoopFormMd5Hex(data);
+  EXPECT_EQ(Md5::Hash(data).ToHex(), want);
+  EXPECT_EQ(SplitMd5(data, 1).ToHex(), want);
+}
+
+// ---------------------------------------------------------------------------
+// CRC-32C: the check values, and the hardware and slice-by-8 paths
+// against a bit-at-a-time reference at every alignment, every length
+// each path splits on, and every chaining cut.
+
+std::uint32_t BitwiseCrc32c(ByteView data, std::uint32_t crc = 0) {
+  crc = ~crc;
   for (std::uint8_t b : data) {
     crc ^= b;
     for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1) != 0 ? (crc >> 1) ^ 0xedb88320u : crc >> 1;
+      crc = (crc & 1) != 0 ? (crc >> 1) ^ 0x82f63b78u : crc >> 1;
     }
   }
   return ~crc;
 }
 
+Bytes PatternBytes(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  Bytes data(n);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  return data;
+}
+
 TEST(Crc32Test, MatchesCheckValues) {
-  EXPECT_EQ(Crc32(AsBytes("")), 0u);
-  EXPECT_EQ(Crc32(AsBytes("a")), 0xe8b7be43u);
-  EXPECT_EQ(Crc32(AsBytes("123456789")), 0xcbf43926u);
-  EXPECT_EQ(Crc32(AsBytes("The quick brown fox jumps over the lazy dog")),
-            0x414fa339u);
-  // Zero runs do not check as zero (zlib conditioning).
-  EXPECT_NE(Crc32(Bytes(13, 0)), 0u);
+  for (auto crc : {Crc32c, Crc32cPortable}) {
+    EXPECT_EQ(crc(AsBytes(""), 0), 0u);
+    EXPECT_EQ(crc(AsBytes("a"), 0), 0xc1d04330u);
+    EXPECT_EQ(crc(AsBytes("123456789"), 0), 0xe3069283u);
+    EXPECT_EQ(crc(Bytes(32, 0x00), 0), 0x8a9136aau);
+    EXPECT_EQ(crc(Bytes(32, 0xff), 0), 0x62a8ab43u);
+    // Zero runs do not check as zero (zlib conditioning): a torn node
+    // header of zeros fails its check.
+    EXPECT_NE(crc(Bytes(13, 0), 0), 0u);
+  }
 }
 
 TEST(Crc32Test, SliceBy8MatchesBitwiseAndChains) {
@@ -108,12 +234,48 @@ TEST(Crc32Test, SliceBy8MatchesBitwiseAndChains) {
   for (std::size_t start = 0; start < 8; ++start) {
     for (std::size_t len = 0; start + len <= data.size(); ++len) {
       const ByteView piece = ByteView(data).subspan(start, len);
-      EXPECT_EQ(Crc32(piece), BitwiseCrc32(piece)) << start << "+" << len;
+      EXPECT_EQ(Crc32cPortable(piece), BitwiseCrc32c(piece))
+          << start << "+" << len;
     }
   }
   const ByteView all(data);
   for (std::size_t cut = 0; cut <= all.size(); ++cut) {
-    EXPECT_EQ(Crc32(all.subspan(cut), Crc32(all.first(cut))), Crc32(all))
+    EXPECT_EQ(Crc32cPortable(all.subspan(cut), Crc32cPortable(all.first(cut))),
+              Crc32cPortable(all))
+        << "cut " << cut;
+  }
+}
+
+// The hardware path splits a buffer into 3 x 8 KB blocks, then 3 x 256 B
+// blocks, then one stream; lengths around each split, at every start
+// alignment, must agree with both other paths. On a host without SSE4.2
+// Crc32c is the portable path and this checks that twice.
+TEST(Crc32Test, HardwareMatchesPortableAndBitwise) {
+  if (!Crc32cHardware()) GTEST_LOG_(INFO) << "no SSE4.2: portable path only";
+  const Bytes data = PatternBytes(2 * 3 * 8192 + 3 * 256 + 200, 7);
+  std::vector<std::size_t> lengths;
+  for (std::size_t len = 0; len <= 80; ++len) lengths.push_back(len);
+  for (std::size_t split : {3 * 256, 2 * 3 * 256, 3 * 8192, 2 * 3 * 8192}) {
+    for (std::size_t len = split - 64; len <= split + 64; ++len) {
+      lengths.push_back(len);
+    }
+  }
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len : lengths) {
+      const ByteView piece = ByteView(data).subspan(start, len);
+      const std::uint32_t want = BitwiseCrc32c(piece);
+      ASSERT_EQ(Crc32c(piece), want) << start << "+" << len;
+      ASSERT_EQ(Crc32cPortable(piece), want) << start << "+" << len;
+    }
+  }
+}
+
+TEST(Crc32Test, HardwareChainsAtEveryCut) {
+  const Bytes data = PatternBytes(3 * 8192 + 3 * 256 + 37, 11);
+  const ByteView all(data);
+  const std::uint32_t whole = BitwiseCrc32c(all);
+  for (std::size_t cut = 0; cut <= all.size(); ++cut) {
+    ASSERT_EQ(Crc32c(all.subspan(cut), Crc32c(all.first(cut))), whole)
         << "cut " << cut;
   }
 }
