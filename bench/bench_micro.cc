@@ -1,5 +1,6 @@
 // Microbenchmarks for the building blocks (host wall-clock, via google
-// benchmark's normal timing): MD5 and CRC-32C throughput, abstraction-
+// benchmark's normal timing): MD5 (one stream, and 4 KB chunks sixteen
+// lanes at a time) and CRC-32C throughput, abstraction-
 // function walk, VeriFS checkpoint/restore, FUSE round trip, visited-table
 // insertion, bitstate insertion, block-device snapshots, and ext2f/xfsf
 // mount cycles. These are the knobs the macro results (Figures 2-3) are
@@ -19,6 +20,7 @@
 #include "storage/ram_disk.h"
 #include "util/crc32c.h"
 #include "util/md5.h"
+#include "util/rng.h"
 #include "verifs/verifs2.h"
 
 namespace {
@@ -34,6 +36,37 @@ void BM_Md5Throughput(benchmark::State& state) {
                           state.range(0));
 }
 BENCHMARK(BM_Md5Throughput)->Arg(64)->Arg(4096)->Arg(65536);
+
+// range(0) 4 KB chunks digested by one Md5::HashChunks call (lanes = 1)
+// or by one Md5::Hash call each (lanes = 0). 16 chunks are one lane pass;
+// 32 are a 128 KB file, the bulk pool's largest write.
+void BM_Md5Chunks(benchmark::State& state) {
+  const auto chunks = static_cast<std::size_t>(state.range(0));
+  Bytes data(chunks * Md5::kChunkBytes);
+  Rng rng(1);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  std::vector<const std::uint8_t*> views(chunks);
+  for (std::size_t i = 0; i < chunks; ++i) {
+    views[i] = data.data() + i * Md5::kChunkBytes;
+  }
+  std::vector<Md5Digest> out(chunks);
+  for (auto _ : state) {
+    if (state.range(1) != 0) {
+      Md5::HashChunks(views, out.data());
+    } else {
+      for (std::size_t i = 0; i < chunks; ++i) {
+        out[i] = Md5::Hash(ByteView(views[i], Md5::kChunkBytes));
+      }
+    }
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(data.size()));
+}
+BENCHMARK(BM_Md5Chunks)
+    ->ArgNames({"chunks", "lanes"})
+    ->ArgsProduct({{16, 32}, {1, 0}});
 
 // CRC-32C over range(0) bytes, on the SSE4.2 path (hw = 1) or the
 // portable slice-by-8 one (hw = 0). 13 B is a jffs2f node's checked
@@ -249,8 +282,10 @@ void BM_AbstractionStepIncremental(benchmark::State& state) {
       benchmark::Counter(static_cast<double>(inc.nodes_rehashed()),
                          benchmark::Counter::kAvgIterations);
 }
+// 128 KB files are the bulk pool's largest: each overwrite re-hashes
+// 32 content chunks.
 BENCHMARK(BM_AbstractionStepIncremental)
-    ->ArgsProduct({{16, 64, 256}, {256, 4096}, {0, 1, 2}});
+    ->ArgsProduct({{16, 64, 256}, {256, 4096, 131072}, {0, 1, 2}});
 
 // One device capture, range(1) one-byte writes to distinct 4 KB blocks,
 // and one restore, on a RAM disk of range(0) bytes whose every block has

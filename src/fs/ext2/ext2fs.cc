@@ -363,9 +363,27 @@ Result<Bytes> Ext2Fs::ExportMountState() const {
 
 Status Ext2Fs::ImportMountState(ByteView image) {
   if (!mounted_) return Errno::kEINVAL;
+  // Parse and check the whole blob first, so a hostile or truncated one
+  // changes nothing. The geometry must be this device's and these
+  // options' (what Mkfs writes), and each bitmap and cached block one
+  // block long, as Mount and ReadBlock make them. Blocks stay views into
+  // `image` until then, so the old cache is dropped before the new one
+  // is copied in and an import never holds two caches at once.
+  struct CachedBlock {
+    std::uint32_t block = 0;
+    bool dirty = false;
+    ByteView contents;
+  };
+  Superblock sb;
+  ByteView block_bitmap;
+  ByteView inode_bitmap;
+  std::vector<CachedBlock> cached;
+  std::uint64_t op_counter = 0;
   try {
     ByteReader r(image);
-    Superblock sb;
+    auto blob = [&r] {
+      return r.GetBytes(static_cast<std::size_t>(r.GetU64()));
+    };
     sb.magic = r.GetU32();
     sb.block_size = r.GetU32();
     sb.total_blocks = r.GetU32();
@@ -373,29 +391,51 @@ Status Ext2Fs::ImportMountState(ByteView image) {
     sb.free_blocks = r.GetU32();
     sb.free_inodes = r.GetU32();
     sb.journal_blocks = r.GetU32();
-    if (sb.magic != kMagic || sb.block_size != options_.block_size) {
+    if (sb.magic != kMagic || sb.block_size != options_.block_size ||
+        sb.total_blocks != device_->size_bytes() / options_.block_size ||
+        sb.inode_count != options_.inode_count) {
       return Errno::kEINVAL;
     }
-    sb_ = sb;
-    block_bitmap_ = r.GetBlob();
-    inode_bitmap_ = r.GetBlob();
-    cache_.clear();
-    cache_dirty_.clear();
-    cache_age_.clear();
-    const std::uint32_t cached = r.GetU32();
-    for (std::uint32_t i = 0; i < cached; ++i) {
-      const std::uint32_t block = r.GetU32();
-      const bool dirty = r.GetU8() != 0;
-      cache_[block] = r.GetBlob();
-      cache_dirty_[block] = dirty;
-      TouchBlock(block);
+    block_bitmap = blob();
+    inode_bitmap = blob();
+    if (block_bitmap.size() != options_.block_size ||
+        inode_bitmap.size() != options_.block_size) {
+      return Errno::kEINVAL;
     }
-    op_counter_ = r.GetU64();
-    open_files_.clear();  // handles do not survive a rollback
-    return Status::Ok();
+    const std::uint32_t count = r.GetU32();
+    // A record is at least a block number, a dirty flag and a blob
+    // length, which bounds the count before anything is reserved.
+    if (count > r.remaining() / (4 + 1 + 8)) return Errno::kEINVAL;
+    cached.reserve(count);
+    for (std::uint32_t i = 0; i < count; ++i) {
+      CachedBlock c;
+      c.block = r.GetU32();
+      c.dirty = r.GetU8() != 0;
+      c.contents = blob();
+      if (c.block >= sb.total_blocks ||
+          c.contents.size() != options_.block_size) {
+        return Errno::kEINVAL;
+      }
+      cached.push_back(c);
+    }
+    op_counter = r.GetU64();
   } catch (const std::out_of_range&) {
     return Errno::kEINVAL;
   }
+  sb_ = sb;
+  block_bitmap_.assign(block_bitmap.begin(), block_bitmap.end());
+  inode_bitmap_.assign(inode_bitmap.begin(), inode_bitmap.end());
+  cache_.clear();
+  cache_dirty_.clear();
+  cache_age_.clear();
+  for (const CachedBlock& c : cached) {
+    cache_[c.block].assign(c.contents.begin(), c.contents.end());
+    cache_dirty_[c.block] = c.dirty;
+    TouchBlock(c.block);
+  }
+  op_counter_ = op_counter;
+  open_files_.clear();  // handles do not survive a rollback
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

@@ -38,15 +38,20 @@ Result<Bytes> Ext4Fs::ExportMountState() const {
 }
 
 Status Ext4Fs::ImportMountState(ByteView image) {
+  // Both fields parse before either is applied, so a truncated blob
+  // changes nothing.
+  Bytes base;
+  std::uint64_t journal_seq = 0;
   try {
     ByteReader r(image);
-    const Bytes base = r.GetBlob();
-    if (Status s = Ext2Fs::ImportMountState(base); !s.ok()) return s;
-    journal_seq_ = r.GetU64();
-    return Status::Ok();
+    base = r.GetBlob();
+    journal_seq = r.GetU64();
   } catch (const std::out_of_range&) {
     return Errno::kEINVAL;
   }
+  if (Status s = Ext2Fs::ImportMountState(base); !s.ok()) return s;
+  journal_seq_ = journal_seq;
+  return Status::Ok();
 }
 
 void Ext4Fs::CrashNow() {

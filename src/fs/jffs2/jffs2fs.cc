@@ -433,12 +433,18 @@ Status Jffs2Fs::ImportMountState(ByteView image) {
       const auto type = static_cast<FileType>(r.GetU8());
       dirents[{parent, std::move(name)}] = {target, type};
     }
+    // Every field parses before any is applied, so a truncated blob
+    // changes nothing.
+    const std::uint64_t log_head = r.GetU64();
+    const std::uint64_t next_seq = r.GetU64();
+    const InodeNum next_ino = r.GetU64();
+    const std::uint64_t op_counter = r.GetU64();
     inodes_ = std::move(inodes);
     dirents_ = std::move(dirents);
-    log_head_ = r.GetU64();
-    next_seq_ = r.GetU64();
-    next_ino_ = r.GetU64();
-    op_counter_ = r.GetU64();
+    log_head_ = log_head;
+    next_seq_ = next_seq;
+    next_ino_ = next_ino;
+    op_counter_ = op_counter;
     open_files_.clear();
     return Status::Ok();
   } catch (const std::out_of_range&) {

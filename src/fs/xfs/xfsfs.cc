@@ -610,36 +610,51 @@ Result<Bytes> XfsFs::ExportMountState() const {
 
 Status XfsFs::ImportMountState(ByteView image) {
   if (!mounted_) return Errno::kEINVAL;
+  // Parse and check the whole blob into locals first, so a hostile or
+  // truncated one changes nothing; counts are checked against this
+  // file system's geometry and the bytes left before anything is sized
+  // by them.
+  Superblock sb;
+  std::vector<std::pair<std::uint32_t, std::uint32_t>> free_extents;
+  std::vector<bool> inode_used;
+  std::uint64_t op_counter = 0;
   try {
     ByteReader r(image);
-    Superblock sb;
     sb.magic = r.GetU32();
     sb.block_size = r.GetU32();
     sb.total_blocks = r.GetU32();
     sb.inode_count = r.GetU32();
-    if (sb.magic != kMagic || sb.block_size != options_.block_size) {
+    if (sb.magic != kMagic || sb.block_size != options_.block_size ||
+        sb.total_blocks != total_blocks() ||
+        sb.inode_count != options_.inode_count) {
       return Errno::kEINVAL;
     }
-    sb_ = sb;
     const std::uint32_t extents = r.GetU32();
-    free_extents_.clear();
-    free_extents_.reserve(std::min<std::uint32_t>(extents, 65536));
+    if (extents > r.remaining() / (2 * sizeof(std::uint32_t))) {
+      return Errno::kEINVAL;
+    }
+    free_extents.reserve(extents);
     for (std::uint32_t i = 0; i < extents; ++i) {
       const std::uint32_t start = r.GetU32();
       const std::uint32_t len = r.GetU32();
-      free_extents_.emplace_back(start, len);
+      free_extents.emplace_back(start, len);
     }
     const std::uint32_t inodes = r.GetU32();
-    inode_used_.assign(inodes, false);
+    if (inodes != sb.inode_count) return Errno::kEINVAL;
+    inode_used.assign(inodes, false);
     for (std::uint32_t i = 0; i < inodes; ++i) {
-      inode_used_[i] = r.GetU8() != 0;
+      inode_used[i] = r.GetU8() != 0;
     }
-    op_counter_ = r.GetU64();
-    open_files_.clear();
-    return Status::Ok();
+    op_counter = r.GetU64();
   } catch (const std::out_of_range&) {
     return Errno::kEINVAL;
   }
+  sb_ = sb;
+  free_extents_ = std::move(free_extents);
+  inode_used_ = std::move(inode_used);
+  op_counter_ = op_counter;
+  open_files_.clear();
+  return Status::Ok();
 }
 
 // ---------------------------------------------------------------------------

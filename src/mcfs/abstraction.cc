@@ -1,6 +1,9 @@
 #include "mcfs/abstraction.h"
 
 #include <algorithm>
+#include <array>
+#include <cstring>
+#include <span>
 
 #include "fs/path.h"
 #include "mcfs/ops.h"
@@ -17,6 +20,59 @@ bool OnExceptionList(const std::string& path,
   return false;
 }
 
+// Feeds a regular file's content into `md5ctx` as the MD5 of each
+// complete Md5::kChunkBytes chunk, then the raw tail. Chunks are cut at
+// file offsets 0, 4 KB, 8 KB, ..., however the reads split the file, so
+// a read that ends mid-chunk leaves its part in `carry_` for the next.
+// A file under one chunk is all tail: its bytes go in raw, exactly as
+// they did before chunking.
+class ChunkedContent {
+ public:
+  explicit ChunkedContent(Md5& md5ctx) : md5ctx_(md5ctx) {}
+
+  void Update(ByteView data) {
+    std::array<const std::uint8_t*, kBatch> chunks{};
+    std::size_t n = 0;
+    auto flush = [&] {
+      if (n == 0) return;
+      std::array<Md5Digest, kBatch> digests;
+      Md5::HashChunks(std::span(chunks.data(), n), digests.data());
+      for (std::size_t i = 0; i < n; ++i) md5ctx_.Update(digests[i].bytes);
+      n = 0;
+    };
+    if (carry_len_ > 0) {
+      const std::size_t take = std::min(data.size(), kChunk - carry_len_);
+      std::memcpy(carry_.data() + carry_len_, data.data(), take);
+      carry_len_ += take;
+      data = data.subspan(take);
+      if (carry_len_ < kChunk) return;
+      chunks[n++] = carry_.data();
+      carry_len_ = 0;
+    }
+    for (; data.size() >= kChunk; data = data.subspan(kChunk)) {
+      chunks[n++] = data.data();
+      if (n == kBatch) flush();
+    }
+    flush();  // before the tail below overwrites the carried chunk
+    if (!data.empty()) {
+      std::memcpy(carry_.data(), data.data(), data.size());
+      carry_len_ = data.size();
+    }
+  }
+
+  // Feeds the tail; call once, after the last Update.
+  void Finish() { md5ctx_.Update(ByteView(carry_.data(), carry_len_)); }
+
+ private:
+  static constexpr std::size_t kChunk = Md5::kChunkBytes;
+  // One lane pass of the AVX-512 kernel.
+  static constexpr std::size_t kBatch = 16;
+
+  Md5& md5ctx_;
+  std::array<std::uint8_t, kChunk> carry_{};
+  std::size_t carry_len_ = 0;
+};
+
 // Feeds one node's content + important attributes + xattrs into `md5ctx`
 // — the byte scheme shared by the rolling Algorithm 1 digest and the
 // per-node digests of the incremental cache. Deliberately excludes the
@@ -25,21 +81,25 @@ bool OnExceptionList(const std::string& path,
 Status AppendNodeBytes(Md5& md5ctx, vfs::Vfs& v, const std::string& path,
                        const fs::InodeAttr& a,
                        const AbstractionOptions& options) {
-  // File content first (Algorithm 1 reads before stat'ing).
+  // File content first (Algorithm 1 reads before stat'ing). The size
+  // attribute hashed below fixes how many chunk digests and tail bytes
+  // precede it, so equal node bytes still mean equal content.
   if (a.type == fs::FileType::kRegular) {
     auto fd = v.Open(path, fs::kRdOnly, 0);
     if (!fd.ok()) return fd.error();
+    ChunkedContent content(md5ctx);
     std::uint64_t offset = 0;
     for (;;) {
-      auto chunk = v.Read(fd.value(), offset, 64 * 1024);
-      if (!chunk.ok()) {
+      auto data = v.Read(fd.value(), offset, 64 * 1024);
+      if (!data.ok()) {
         (void)v.Close(fd.value());
-        return chunk.error();
+        return data.error();
       }
-      if (chunk.value().empty()) break;
-      md5ctx.Update(chunk.value());
-      offset += chunk.value().size();
+      if (data.value().empty()) break;
+      content.Update(data.value());
+      offset += data.value().size();
     }
+    content.Finish();
     if (Status s = v.Close(fd.value()); !s.ok()) return s.error();
   } else if (a.type == fs::FileType::kSymlink) {
     auto target = v.ReadLink(path);

@@ -193,7 +193,6 @@ Result<Trace> Trace::Deserialize(ByteView image) {
     Trace trace;
     const std::uint32_t count = r.GetU32();
     if (count > r.remaining() / kMinRecordBytes) return Errno::kEINVAL;
-    trace.records_.reserve(count);
     for (std::uint32_t i = 0; i < count; ++i) {
       Record record;
       const std::uint8_t kind = r.GetU8();
@@ -231,10 +230,7 @@ Result<Trace> Trace::Deserialize(ByteView image) {
 }
 
 void Trace::TrimToLast(std::size_t n) {
-  if (records_.size() > n) {
-    records_.erase(records_.begin(),
-                   records_.end() - static_cast<std::ptrdiff_t>(n));
-  }
+  while (records_.size() > n) records_.pop_front();
 }
 
 void Trace::TrimToFirst(std::size_t n) {

@@ -8,8 +8,8 @@
 // (Mcfs::Replay) to confirm the bug reproduces.
 #pragma once
 
+#include <deque>
 #include <string>
-#include <vector>
 
 #include "mcfs/ops.h"
 #include "vfs/vfs.h"
@@ -36,7 +36,7 @@ class Trace {
               bool violation);
   void Clear() { records_.clear(); }
 
-  const std::vector<Record>& records() const { return records_; }
+  const std::deque<Record>& records() const { return records_; }
   std::size_t size() const { return records_.size(); }
 
   // Human-readable dump ("<op> -> A:<errno> B:<errno> [VIOLATION]").
@@ -52,15 +52,16 @@ class Trace {
   static Result<Trace> Deserialize(ByteView image);
 
   // Keeps only the last `n` records (long runs cap their trace memory).
+  // Records live in a deque, so dropping the oldest costs O(1) each.
   void TrimToLast(std::size_t n);
   // Keeps only the first `n` records (minimization truncates at the
   // first reproducing violation).
   void TrimToFirst(std::size_t n);
 
-  std::vector<Record>& mutable_records() { return records_; }
+  std::deque<Record>& mutable_records() { return records_; }
 
  private:
-  std::vector<Record> records_;
+  std::deque<Record> records_;
 };
 
 }  // namespace mcfs::core

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstring>
+#include <numeric>
 #include <set>
+#include <span>
 #include <utility>
 
 #include "util/bytes.h"
@@ -14,6 +16,7 @@ namespace {
 
 constexpr std::uint32_t kSnapshotMagic = 0x4352444bu;  // "CRDK"
 constexpr std::size_t kChunkBytes = CrashableDisk::kChunkBytes;
+static_assert(kChunkBytes == Md5::kChunkBytes);
 constexpr std::size_t kDigestBytes = sizeof(Md5Digest::bytes);
 
 std::size_t ChunkCount(std::size_t image_bytes) {
@@ -40,11 +43,31 @@ void StoreDigest(Bytes* table, std::size_t chunk, const Md5Digest& digest) {
               kDigestBytes);
 }
 
+// Re-hashes `chunks` (ascending) of `image` into `table`, in one
+// Md5::HashChunks call. Only an image's last chunk can be short, and that
+// one is hashed on its own.
+void HashChunksInto(const BlockImage& image,
+                    std::span<const std::size_t> chunks, Bytes* table) {
+  if (!chunks.empty() && image.Block(chunks.back()).size() < kChunkBytes) {
+    StoreDigest(table, chunks.back(), Md5::Hash(image.Block(chunks.back())));
+    chunks = chunks.first(chunks.size() - 1);
+  }
+  std::vector<const std::uint8_t*> blocks(chunks.size());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    blocks[i] = image.Block(chunks[i]).data();
+  }
+  std::vector<Md5Digest> digests(chunks.size());
+  Md5::HashChunks(blocks, digests.data());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    StoreDigest(table, chunks[i], digests[i]);
+  }
+}
+
 Bytes ChunkTable(const BlockImage& image) {
   Bytes table(ChunkCount(image.size()) * kDigestBytes);
-  for (std::size_t c = 0; c < ChunkCount(image.size()); ++c) {
-    StoreDigest(&table, c, Md5::Hash(image.Block(c)));
-  }
+  std::vector<std::size_t> all(ChunkCount(image.size()));
+  std::iota(all.begin(), all.end(), std::size_t{0});
+  HashChunksInto(image, all, &table);
   return table;
 }
 
@@ -126,9 +149,7 @@ void CrashableDisk::CommitBarrier() {
     AddTouchedChunks(rec.offset, rec.after.size(), &dirty);
   }
   SortUnique(&dirty);
-  for (std::size_t c : dirty) {
-    StoreDigest(&chunk_table_, c, Md5::Hash(durable_.Block(c)));
-  }
+  HashChunksInto(durable_, dirty, &chunk_table_);
   journal_.clear();
   ++barriers_;
   durable_digest_ = Md5::Hash(chunk_table_).lo64();

@@ -9,7 +9,9 @@
 #pragma once
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 
@@ -47,6 +49,18 @@ class Md5 {
   // One-shot convenience.
   static Md5Digest Hash(ByteView data);
   static Md5Digest Hash(std::string_view s) { return Hash(AsBytes(s)); }
+
+  // The input size HashChunks takes: one 4 KB chunk of file content or
+  // of a device image.
+  static constexpr std::size_t kChunkBytes = 4096;
+
+  // out[i] = Hash of the kChunkBytes bytes at chunks[i]. The chunks are
+  // independent, so on a CPU with AVX-512F a call for two or more hashes
+  // sixteen at once, one per 32-bit vector lane, each lane loading
+  // through its own pointer (the chunks need not be contiguous, aligned
+  // or distinct); elsewhere, and for a lone chunk, each is hashed in turn.
+  static void HashChunks(std::span<const std::uint8_t* const> chunks,
+                         Md5Digest* out);
 
  private:
   void ProcessBlock(const std::uint8_t block[64]);

@@ -6,6 +6,7 @@
 // identical trees must hash identically.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 
 #include "fs/ext2/ext2fs.h"
@@ -14,6 +15,8 @@
 #include "fs/xfs/xfsfs.h"
 #include "mcfs/abstraction.h"
 #include "storage/ram_disk.h"
+#include "util/rng.h"
+#include "verifs/verifs1.h"
 #include "verifs/verifs2.h"
 
 namespace mcfs::core {
@@ -35,14 +38,16 @@ Stack MakeExt2() {
   return stack;
 }
 
-Stack MakeVerifs2() {
+Stack MakeVerifs(fs::FileSystemPtr filesystem) {
   Stack stack;
-  stack.filesystem = std::make_shared<verifs::Verifs2>();
+  stack.filesystem = std::move(filesystem);
   stack.v = std::make_unique<vfs::Vfs>(stack.filesystem, nullptr);
   EXPECT_TRUE(stack.filesystem->Mkfs().ok());
   EXPECT_TRUE(stack.v->Mount().ok());
   return stack;
 }
+
+Stack MakeVerifs2() { return MakeVerifs(std::make_shared<verifs::Verifs2>()); }
 
 void Write(vfs::Vfs& v, const std::string& path, std::string_view data) {
   auto fd = v.Open(path, fs::kCreate | fs::kWrOnly, 0644);
@@ -255,14 +260,16 @@ TEST(AbstractionTest, DeterministicAcrossRepeatedWalks) {
 }
 
 // Forwards everything to an inner file system but lets tests force a
-// specific errno out of ListXattr — the fault the walk must not swallow.
-class FaultyXattrFs final : public fs::FileSystem {
+// specific errno out of ListXattr — the fault the walk must not swallow —
+// or cap how many bytes one Read returns.
+class FaultyFs final : public fs::FileSystem {
  public:
-  explicit FaultyXattrFs(fs::FileSystemPtr inner) : inner_(std::move(inner)) {}
+  explicit FaultyFs(fs::FileSystemPtr inner) : inner_(std::move(inner)) {}
 
   void set_listxattr_error(std::optional<Errno> error) {
     listxattr_error_ = error;
   }
+  void set_max_read(std::optional<std::uint64_t> bytes) { max_read_ = bytes; }
 
   Status Mkfs() override { return inner_->Mkfs(); }
   Status Mount() override { return inner_->Mount(); }
@@ -291,7 +298,7 @@ class FaultyXattrFs final : public fs::FileSystem {
   Status Close(fs::FileHandle fh) override { return inner_->Close(fh); }
   Result<Bytes> Read(fs::FileHandle fh, std::uint64_t offset,
                      std::uint64_t size) override {
-    return inner_->Read(fh, offset, size);
+    return inner_->Read(fh, offset, std::min(size, max_read_.value_or(size)));
   }
   Result<std::uint64_t> Write(fs::FileHandle fh, std::uint64_t offset,
                               ByteView data) override {
@@ -334,6 +341,7 @@ class FaultyXattrFs final : public fs::FileSystem {
  private:
   fs::FileSystemPtr inner_;
   std::optional<Errno> listxattr_error_;
+  std::optional<std::uint64_t> max_read_;
 };
 
 TEST(AbstractionTest, ListXattrFailurePropagatesOutOfTheWalk) {
@@ -342,7 +350,7 @@ TEST(AbstractionTest, ListXattrFailurePropagatesOutOfTheWalk) {
   // dropping xattrs would let a corrupted state masquerade as a match.
   auto disk = std::make_shared<storage::RamDisk>("d", 256 * 1024, nullptr);
   auto faulty =
-      std::make_shared<FaultyXattrFs>(std::make_shared<fs::Ext2Fs>(disk));
+      std::make_shared<FaultyFs>(std::make_shared<fs::Ext2Fs>(disk));
   vfs::Vfs v(faulty, nullptr);
   ASSERT_TRUE(faulty->Mkfs().ok());
   ASSERT_TRUE(v.Mount().ok());
@@ -366,7 +374,7 @@ TEST(AbstractionTest, ListXattrNotSupportedIsQuietlySkipped) {
   // has them.
   auto disk = std::make_shared<storage::RamDisk>("d", 256 * 1024, nullptr);
   auto faulty =
-      std::make_shared<FaultyXattrFs>(std::make_shared<fs::Ext2Fs>(disk));
+      std::make_shared<FaultyFs>(std::make_shared<fs::Ext2Fs>(disk));
   vfs::Vfs v(faulty, nullptr);
   ASSERT_TRUE(faulty->Mkfs().ok());
   ASSERT_TRUE(v.Mount().ok());
@@ -394,6 +402,187 @@ TEST(AbstractionTest, DeepTreeWalkDoesNotOverflowTheStack) {
   ASSERT_TRUE(paths.ok());
   EXPECT_EQ(paths.value().size(), depth);
   EXPECT_TRUE(ComputeAbstractState(*stack.v, {}).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Chunked content: a regular file's content enters the node bytes as the
+// MD5 of each complete 4 KB chunk, then the raw tail.
+
+std::string PatternData(std::size_t n, std::uint64_t seed) {
+  Rng rng(seed);
+  std::string data(n, '\0');
+  for (char& c : data) c = static_cast<char>(rng.Next());
+  return data;
+}
+
+void WriteByte(vfs::Vfs& v, const std::string& path, std::uint64_t offset,
+               char byte) {
+  auto fd = v.Open(path, fs::kWrOnly, 0);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(v.Write(fd.value(), offset, AsBytes(std::string(1, byte))).ok());
+  ASSERT_TRUE(v.Close(fd.value()).ok());
+}
+
+Md5Digest NodeOf(vfs::Vfs& v, const std::string& path) {
+  auto node = HashNode(v, path, {});
+  EXPECT_TRUE(node.ok()) << path;
+  return node.ok() ? node.value().digest : Md5Digest{};
+}
+
+// The node byte scheme from before content was chunked, kept here as the
+// reference for files under one chunk: the whole content raw, then the
+// important attributes and the sorted xattrs (default options).
+void AppendRawSchemeNodeBytes(Md5& md5ctx, vfs::Vfs& v,
+                              const std::string& path) {
+  auto attr = v.Stat(path);
+  ASSERT_TRUE(attr.ok()) << path;
+  const fs::InodeAttr& a = attr.value();
+  if (a.type == fs::FileType::kRegular) {
+    auto fd = v.Open(path, fs::kRdOnly, 0);
+    ASSERT_TRUE(fd.ok()) << path;
+    for (std::uint64_t offset = 0;;) {
+      auto data = v.Read(fd.value(), offset, 64 * 1024);
+      ASSERT_TRUE(data.ok()) << path;
+      if (data.value().empty()) break;
+      md5ctx.Update(data.value());
+      offset += data.value().size();
+    }
+    ASSERT_TRUE(v.Close(fd.value()).ok());
+  } else if (a.type == fs::FileType::kSymlink) {
+    auto target = v.ReadLink(path);
+    ASSERT_TRUE(target.ok()) << path;
+    md5ctx.Update(target.value());
+  }
+  md5ctx.UpdateU64(static_cast<std::uint64_t>(a.type));
+  md5ctx.UpdateU64(a.mode);
+  md5ctx.UpdateU64(a.nlink);
+  md5ctx.UpdateU64(a.uid);
+  md5ctx.UpdateU64(a.gid);
+  md5ctx.UpdateU64(a.type == fs::FileType::kDirectory ? 0 : a.size);
+  auto names = v.ListXattr(path);
+  if (!names.ok()) return;  // ENOTSUP: no xattrs
+  std::vector<std::string> sorted = names.value();
+  std::sort(sorted.begin(), sorted.end());
+  for (const auto& name : sorted) {
+    auto value = v.GetXattr(path, name);
+    ASSERT_TRUE(value.ok()) << path << " " << name;
+    md5ctx.Update(name);
+    md5ctx.Update(value.value());
+  }
+}
+
+// ComputeAbstractState and the incremental fold under the raw scheme.
+struct RawSchemeDigests {
+  Md5Digest state;
+  Md5Digest fold;
+};
+
+RawSchemeDigests RawScheme(vfs::Vfs& v) {
+  auto paths = ListTreePaths(v, {});
+  EXPECT_TRUE(paths.ok());
+  Md5 state;
+  Md5 fold;
+  for (const auto& path : paths.value_or(std::vector<std::string>{})) {
+    AppendRawSchemeNodeBytes(state, v, path);
+    state.Update(path);
+    Md5 node;
+    AppendRawSchemeNodeBytes(node, v, path);
+    fold.UpdateU64(path.size());
+    fold.Update(path);
+    fold.Update(node.Final().bytes);
+  }
+  return {state.Final(), fold.Final()};
+}
+
+TEST(ChunkedContentTest, FilesUnderOneChunkHashAsBeforeChunking) {
+  Stack ext2 = MakeExt2();
+  Stack verifs2 = MakeVerifs2();
+  for (vfs::Vfs* v : {ext2.v.get(), verifs2.v.get()}) {
+    ASSERT_TRUE(v->Mkdir("/d", 0750).ok());
+    Write(*v, "/d/empty", "");
+    Write(*v, "/one", "x");
+    Write(*v, "/d/mid", PatternData(3000, 1));
+    Write(*v, "/last", PatternData(Md5::kChunkBytes - 1, 2));
+    ASSERT_TRUE(v->Chmod("/one", 0600).ok());
+    ASSERT_TRUE(v->Symlink("/one", "/s").ok());
+    ASSERT_TRUE(v->Link("/d/mid", "/d/alias").ok());
+    ASSERT_TRUE(v->SetXattr("/last", "user.tag", AsBytes("v")).ok());
+
+    const RawSchemeDigests raw = RawScheme(*v);
+    EXPECT_EQ(HashOf(*v), raw.state);
+    IncrementalAbstraction inc;
+    auto fold = inc.FullRecompute(*v, {});
+    ASSERT_TRUE(fold.ok());
+    EXPECT_EQ(fold.value(), raw.fold);
+
+    // One complete chunk is where the schemes part.
+    Write(*v, "/full", PatternData(Md5::kChunkBytes, 3));
+    EXPECT_NE(HashOf(*v), RawScheme(*v).state);
+  }
+}
+
+TEST(ChunkedContentTest, EveryChunkAndTheTailReachTheNodeDigest) {
+  Stack stack = MakeVerifs2();
+  for (std::size_t size : {4095, 4096, 4097, 65536, 131172}) {
+    const std::string path = "/f" + std::to_string(size);
+    const std::string data = PatternData(size, size);
+    Write(*stack.v, path, data);
+    const Md5Digest base = NodeOf(*stack.v, path);
+    // The first byte, both sides of the first chunk boundary and of the
+    // 64 KB read boundary, and the last byte (the tail, or the last
+    // chunk's end).
+    for (std::size_t at : {std::size_t{0}, std::size_t{4095},
+                           std::size_t{4096}, std::size_t{65535},
+                           std::size_t{65536}, size - 1}) {
+      if (at >= size) continue;
+      const std::string where = path + " byte " + std::to_string(at);
+      WriteByte(*stack.v, path, at, static_cast<char>(data[at] ^ 1));
+      EXPECT_NE(NodeOf(*stack.v, path), base) << where;
+      WriteByte(*stack.v, path, at, data[at]);
+      EXPECT_EQ(NodeOf(*stack.v, path), base) << where;
+    }
+  }
+}
+
+TEST(ChunkedContentTest, FileSystemsAgreeOnEqualContent) {
+  Stack verifs1 = MakeVerifs(std::make_shared<verifs::Verifs1>());
+  Stack verifs2 = MakeVerifs2();
+  Stack ext2 = MakeExt2();
+  for (vfs::Vfs* v : {verifs1.v.get(), verifs2.v.get(), ext2.v.get()}) {
+    ASSERT_TRUE(v->Mkdir("/d", 0755).ok());
+    Write(*v, "/d/a", PatternData(4097, 4));
+    Write(*v, "/b", PatternData(70000, 5));
+    Write(*v, "/c", PatternData(Md5::kChunkBytes * 3, 6));
+    Write(*v, "/small", "tail only");
+  }
+  const Md5Digest want = HashOf(*verifs1.v);
+  EXPECT_EQ(HashOf(*verifs2.v), want);
+  EXPECT_EQ(HashOf(*ext2.v), want);
+  for (const char* path : {"/d/a", "/b", "/c"}) {
+    const Md5Digest node = NodeOf(*verifs1.v, path);
+    EXPECT_EQ(NodeOf(*verifs2.v, path), node) << path;
+    EXPECT_EQ(NodeOf(*ext2.v, path), node) << path;
+  }
+}
+
+TEST(ChunkedContentTest, DigestDoesNotDependOnHowReadsSplitTheFile) {
+  // Chunks are cut at file offsets, not at read boundaries: a file system
+  // that returns at most 1,000 bytes per read carries partial chunks
+  // from one read into the next and still hashes the same.
+  auto faulty = std::make_shared<FaultyFs>(std::make_shared<verifs::Verifs2>());
+  Stack stack = MakeVerifs(faulty);
+  for (std::size_t size : {1000, 4095, 4096, 4097, 10000, 131172}) {
+    const std::string path = "/f" + std::to_string(size);
+    Write(*stack.v, path, PatternData(size, size));
+    faulty->set_max_read(std::nullopt);
+    const Md5Digest whole = NodeOf(*stack.v, path);
+    faulty->set_max_read(1000);
+    EXPECT_EQ(NodeOf(*stack.v, path), whole) << path;
+  }
+  faulty->set_max_read(std::nullopt);
+  const Md5Digest whole = HashOf(*stack.v);
+  faulty->set_max_read(1000);
+  EXPECT_EQ(HashOf(*stack.v), whole);
 }
 
 }  // namespace

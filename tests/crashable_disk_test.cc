@@ -1,7 +1,8 @@
 // Unit tests for CrashableDisk: crash-state enumeration (barrier
 // legality, golden counts, dedup, sampling), flush fault injection,
 // snapshot bookkeeping and hostile snapshots, a differential of the
-// chunk-digest dedup against whole-image MD5, and the MTD observer path —
+// chunk-digest dedup against whole-image MD5, the chunk table against
+// per-chunk MD5, and the MTD observer path —
 // including the regression test for MtdBlockShim::Flush(), which used to
 // be a silent no-op and made every un-flushed write look durable.
 #include <gtest/gtest.h>
@@ -526,6 +527,71 @@ TEST(CrashableDiskDifferential, MtdJournalsMatchFullImageDedup) {
     ASSERT_TRUE(live.crash->RestoreContents(mid_snapshot).ok());
     EXPECT_EQ(live.crash->StateDigest(), mid_digest);
     ExpectMatchesReference(*live.crash, mid_ref, "rolled back");
+  }
+}
+
+// The chunk table a snapshot carries, and the durable digest StateDigest
+// folds in, against Md5::Hash of each chunk of the durable image. Call
+// with nothing in flight.
+void ExpectTableMatchesPerChunkHash(const CrashableDisk& disk,
+                                    const std::string& where) {
+  constexpr std::size_t kChunk = CrashableDisk::kChunkBytes;
+  const Bytes image = disk.durable_image().ToBytes();
+  Bytes want;
+  for (std::size_t at = 0; at < image.size(); at += kChunk) {
+    const Md5Digest digest = Md5::Hash(
+        ByteView(image).subspan(at, std::min(kChunk, image.size() - at)));
+    want.insert(want.end(), digest.bytes.begin(), digest.bytes.end());
+  }
+  const DeviceSnapshot snapshot = disk.SnapshotContents();
+  ByteReader r(snapshot.bookkeeping);
+  r.GetU32();  // magic
+  r.GetU64();  // durable length
+  EXPECT_TRUE(r.GetBlob() == want) << where;
+  ASSERT_EQ(disk.pending_writes(), 0u) << where;
+  Md5 state;
+  state.UpdateU64(Md5::Hash(want).lo64());
+  state.UpdateU64(disk.barriers());
+  state.UpdateU64(0);  // empty journal
+  EXPECT_EQ(disk.StateDigest(), state.Final().lo64()) << where;
+}
+
+TEST(CrashableDiskDifferential, ChunkTableMatchesPerChunkHash) {
+  constexpr std::uint64_t kChunk = CrashableDisk::kChunkBytes;
+  Rng rng(7);
+  // A zero-fill RAM disk of 40 whole chunks and a short one: the table
+  // takes three lane passes, the last one masked, plus the short chunk.
+  auto disk = MakeDisk(40 * kChunk + 1000);
+  ExpectTableMatchesPerChunkHash(*disk, "fresh RAM disk");
+  for (int round = 0; round < 4; ++round) {
+    for (int w = 0; w < 5; ++w) {
+      const std::uint64_t offset = rng.Below(disk->size_bytes());
+      const std::uint64_t len = 1 + rng.Below(std::min<std::uint64_t>(
+                                        9000, disk->size_bytes() - offset));
+      ASSERT_TRUE(disk->Write(offset, RandomBytes(rng, len)).ok());
+    }
+    ASSERT_TRUE(disk->Flush().ok());
+    ExpectTableMatchesPerChunkHash(*disk, "RAM round " + std::to_string(round));
+  }
+
+  // A 0xff-fill MTD of 40 chunks, through the observer path.
+  MtdOptions options;
+  options.erase_block_size = 2 * kChunk;
+  MtdStack mtd(40 * kChunk, options);
+  ExpectTableMatchesPerChunkHash(*mtd.crash, "fresh MTD");
+  for (int round = 0; round < 4; ++round) {
+    for (int w = 0; w < 3; ++w) {
+      const auto block = static_cast<std::uint32_t>(rng.Below(20));
+      ASSERT_TRUE(mtd.mtd->EraseBlock(block).ok());
+      ASSERT_TRUE(mtd.mtd
+                      ->Program(block * options.erase_block_size +
+                                    rng.Below(64),
+                                RandomBytes(rng, 1 + rng.Below(6000)))
+                      .ok());
+    }
+    ASSERT_TRUE(mtd.mtd->Flush().ok());
+    ExpectTableMatchesPerChunkHash(*mtd.crash,
+                                   "MTD round " + std::to_string(round));
   }
 }
 

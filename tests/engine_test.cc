@@ -3,6 +3,8 @@
 // (save/restore/abstract-hash contract), and trace record/replay.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "mcfs/equalize.h"
 #include "mcfs/harness.h"
 #include "mcfs/syscall_engine.h"
@@ -219,6 +221,40 @@ TEST(EngineTest, TraceCapBoundsMemory) {
     ASSERT_TRUE(pair.engine->ApplyAction(getdents).ok());
   }
   EXPECT_EQ(pair.engine->trace().size(), 5u);
+}
+
+TEST(EngineTest, TraceCapKeepsTheNewestRecordsInOrder) {
+  // The capped trace drops its oldest records: it must end as exactly the
+  // last trace_cap records of an uncapped twin, snapshot records too.
+  EngineOptions capped_options;
+  capped_options.trace_cap = 8;
+  EngineOptions uncapped_options;
+  uncapped_options.trace_cap = 1'000'000;
+  EnginePair capped =
+      MakePair(FsKind::kVerifs1, FsKind::kVerifs2, capped_options);
+  EnginePair uncapped =
+      MakePair(FsKind::kVerifs1, FsKind::kVerifs2, uncapped_options);
+  for (EnginePair* pair : {&capped, &uncapped}) {
+    SyscallEngine& engine = *pair->engine;
+    for (std::size_t i = 0; i < 40; ++i) {
+      ASSERT_TRUE(engine.ApplyAction(i * 7 % engine.ActionCount()).ok());
+      if (i % 9 == 4) {
+        auto snap = engine.SaveConcrete();
+        ASSERT_TRUE(snap.ok());
+        ASSERT_TRUE(engine.RestoreConcrete(snap.value()).ok());
+        ASSERT_TRUE(engine.DiscardConcrete(snap.value()).ok());
+      }
+    }
+  }
+  const auto& all = uncapped.engine->trace().records();
+  const auto& kept = capped.engine->trace().records();
+  ASSERT_EQ(kept.size(), 8u);
+  ASSERT_GT(all.size(), 40u);
+  EXPECT_TRUE(std::equal(kept.begin(), kept.end(), all.end() - 8));
+
+  auto restored = Trace::Deserialize(capped.engine->trace().Serialize());
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(restored.value().records(), kept);
 }
 
 TEST(TraceTest, SerializationRoundTrip) {

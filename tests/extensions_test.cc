@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "fs/ext2/ext2fs.h"
+#include "fs/mount_state.h"
 #include "mc/explorer.h"
 #include "mcfs/harness.h"
 #include "storage/ram_disk.h"
@@ -71,6 +72,90 @@ TEST_P(MountStateSuite, NonConsumingRestore) {
     ASSERT_TRUE(f.RestoreState(9).ok());
     EXPECT_EQ(f.vfs().Stat("/scratch").error(), Errno::kENOENT)
         << "round " << round;
+  }
+}
+
+TEST_P(MountStateSuite, RejectedImportChangesNothing) {
+  // A blob that fails to parse or check must leave the mount state
+  // exactly as it was, not half replaced by the fields read before the
+  // failure.
+  FsUnderTestConfig config;
+  config.kind = GetParam();
+  config.strategy = StateStrategy::kVfsApi;
+  auto fut = FsUnderTest::Create(config, nullptr);
+  ASSERT_TRUE(fut.ok());
+  FsUnderTest& f = *fut.value();
+  auto* capture = dynamic_cast<fs::MountStateCapture*>(&f.inner());
+  ASSERT_NE(capture, nullptr);
+
+  ASSERT_TRUE(f.vfs().Mkdir("/dir", 0755).ok());
+  auto fd = f.vfs().Open("/dir/file", fs::kCreate | fs::kWrOnly, 0644);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(f.vfs().Write(fd.value(), 0, AsBytes("saved")).ok());
+  ASSERT_TRUE(f.vfs().Close(fd.value()).ok());
+  const Bytes saved = capture->ExportMountState().value();
+
+  // Diverge, so that any field applied from `saved` would show.
+  ASSERT_TRUE(f.vfs().Mkdir("/later", 0700).ok());
+  ASSERT_TRUE(f.vfs().Unlink("/dir/file").ok());
+  const Bytes before = capture->ExportMountState().value();
+  ASSERT_NE(saved, before);
+
+  auto expect_rejected = [&](const Bytes& bad, const std::string& what) {
+    EXPECT_EQ(capture->ImportMountState(bad).error(), Errno::kEINVAL) << what;
+    auto after = capture->ExportMountState();
+    ASSERT_TRUE(after.ok()) << what;
+    EXPECT_TRUE(after.value() == before) << what;
+  };
+  for (std::size_t len = 0; len < saved.size();
+       len += len < 64 || len + 64 > saved.size() ? 1 : 61) {
+    expect_rejected(Bytes(saved.begin(),
+                          saved.begin() + static_cast<std::ptrdiff_t>(len)),
+                    "truncated to " + std::to_string(len));
+  }
+  auto patched = [&saved](std::size_t at, std::uint64_t v, std::size_t width) {
+    Bytes bad = saved;
+    for (std::size_t i = 0; i < width; ++i) {
+      bad[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
+    }
+    return bad;
+  };
+  auto u32_at = [&saved](std::size_t at) {
+    std::uint32_t v = 0;
+    for (std::size_t i = 0; i < 4; ++i) {
+      v |= std::uint32_t{saved[at + i]} << (8 * i);
+    }
+    return v;
+  };
+  switch (GetParam()) {
+    case FsKind::kExt2:
+    case FsKind::kExt4: {
+      // ext4f wraps ext2f's blob in a u64-length blob of its own. The
+      // superblock's seven u32s lead, then the block bitmap's blob.
+      const std::size_t sb = GetParam() == FsKind::kExt4 ? 8 : 0;
+      expect_rejected(patched(sb + 8, u32_at(sb + 8) + 1, 4),
+                      "total_blocks not the device's");
+      expect_rejected(patched(sb + 12, u32_at(sb + 12) + 1, 4),
+                      "inode_count not the options'");
+      expect_rejected(patched(sb + 28, 10, 8), "short block bitmap");
+      break;
+    }
+    case FsKind::kXfs: {
+      // Superblock u32s, the extent count and extents, then the inode
+      // count and one byte per inode.
+      expect_rejected(patched(8, u32_at(8) + 1, 4),
+                      "total_blocks not the device's");
+      expect_rejected(patched(12, u32_at(12) + 1, 4),
+                      "inode_count not the options'");
+      expect_rejected(patched(16, 0xffffffffu, 4),
+                      "extent count past the blob");
+      const std::size_t inodes_at = 20 + 8 * std::size_t{u32_at(16)};
+      expect_rejected(patched(inodes_at, u32_at(inodes_at) + 1, 4),
+                      "inode map longer than inode_count");
+      break;
+    }
+    default:
+      break;
   }
 }
 

@@ -75,14 +75,24 @@ void Write(vfs::Vfs& v, const std::string& path, std::string_view data) {
   ASSERT_TRUE(v.Close(fd.value()).ok());
 }
 
+// The default pool with bench_fig2_speed's bulk sizes: writes and
+// truncates up to 128 KB, so files span many 4 KB content chunks and
+// end mid-chunk.
+ParameterPool BulkPool() {
+  ParameterPool pool = ParameterPool::Default();
+  pool.write_sizes = {3000, 32768, 131072};
+  pool.truncate_sizes = {0, 8192, 131072};
+  return pool;
+}
+
 // Drives `steps` pool-drawn operations against one file system, checking
 // after every single one that the incremental refresh equals a scratch
 // recompute. Zero divergences is the whole contract.
-void RunDifferential(const std::string& kind, std::uint32_t seed,
-                     int steps) {
+void RunDifferential(const std::string& kind, std::uint32_t seed, int steps,
+                     const ParameterPool& pool = ParameterPool::Default()) {
   Stack stack = MakeStack(kind);
   const std::vector<Operation> actions =
-      ParameterPool::Default().EnumerateAll(FeaturesOf(*stack.filesystem));
+      pool.EnumerateAll(FeaturesOf(*stack.filesystem));
   ASSERT_FALSE(actions.empty());
 
   AbstractionOptions options;
@@ -118,6 +128,12 @@ TEST(IncrementalDifferential, Verifs1MatchesFullAfterEveryStep) {
 
 TEST(IncrementalDifferential, Verifs2MatchesFullAfterEveryStep) {
   RunDifferential("verifs2", 17, 250);
+}
+
+TEST(IncrementalDifferential, BulkWritesMatchFullAfterEveryStep) {
+  RunDifferential("ext2", 19, 250, BulkPool());
+  RunDifferential("verifs1", 23, 250, BulkPool());
+  RunDifferential("verifs2", 29, 250, BulkPool());
 }
 
 TEST(IncrementalDifferential, FoldIsCanonicalAcrossFileSystems) {

@@ -1,4 +1,5 @@
-// Unit tests for the util layer: MD5 (against RFC 1321 vectors), CRC-32C,
+// Unit tests for the util layer: MD5 (against RFC 1321 vectors, and its
+// 4 KB chunk batch against one-shot hashes), CRC-32C,
 // Result, byte serialization, deterministic RNG, and the simulated clock.
 #include <gtest/gtest.h>
 
@@ -188,6 +189,56 @@ TEST(Md5Test, UnrolledMatchesLoopForm) {
   const std::string want = LoopFormMd5Hex(data);
   EXPECT_EQ(Md5::Hash(data).ToHex(), want);
   EXPECT_EQ(SplitMd5(data, 1).ToHex(), want);
+}
+
+// Md5::HashChunks against Md5::Hash of each chunk on its own.
+void ExpectChunksMatchHash(const std::vector<const std::uint8_t*>& chunks,
+                           const std::string& where) {
+  std::vector<Md5Digest> out(chunks.size());
+  Md5::HashChunks(chunks, out.data());
+  for (std::size_t i = 0; i < chunks.size(); ++i) {
+    ASSERT_EQ(out[i], Md5::Hash(ByteView(chunks[i], Md5::kChunkBytes)))
+        << where << ", chunk " << i;
+  }
+}
+
+TEST(Md5Test, HashChunksMatchesHashPerChunk) {
+  // 0-40 chunks: the empty call, a masked pass of every width 1-15, and
+  // one to two full passes followed by each masked width. The lanes read
+  // out-of-order chunks through their own pointers, at aligned and odd
+  // addresses alike.
+  constexpr std::size_t kChunks = 41;
+  Rng rng(19);
+  Bytes data(kChunks * Md5::kChunkBytes + 8);
+  for (auto& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  for (std::size_t skew : {0, 1, 3, 7}) {
+    for (std::size_t n = 0; n <= 40; ++n) {
+      std::vector<const std::uint8_t*> chunks;
+      for (std::size_t i = 0; i < n; ++i) {
+        chunks.push_back(data.data() + skew +
+                         (i * 7 % kChunks) * Md5::kChunkBytes);
+      }
+      ExpectChunksMatchHash(chunks, "skew " + std::to_string(skew) +
+                                        ", " + std::to_string(n) + " chunks");
+    }
+  }
+}
+
+TEST(Md5Test, HashChunksLanesMayShareOneBlock) {
+  // Null image blocks all read through one shared fill block, so every
+  // lane of a pass may point at the same bytes.
+  const Bytes zeros(Md5::kChunkBytes, 0);
+  const Bytes erased(Md5::kChunkBytes, 0xff);
+  for (std::size_t n : {1, 15, 16, 17, 33}) {
+    ExpectChunksMatchHash(
+        std::vector<const std::uint8_t*>(n, zeros.data()),
+        "zeros x " + std::to_string(n));
+    std::vector<const std::uint8_t*> mixed;
+    for (std::size_t i = 0; i < n; ++i) {
+      mixed.push_back(i % 3 == 0 ? erased.data() : zeros.data());
+    }
+    ExpectChunksMatchHash(mixed, "mixed x " + std::to_string(n));
+  }
 }
 
 // ---------------------------------------------------------------------------
