@@ -24,13 +24,10 @@
 //    through the FileSystem interface is what the paper's checker sees.
 #pragma once
 
+#include <array>
 #include <map>
-#include <unordered_map>
 
-#include "fs/filesystem.h"
-#include "fs/mount_state.h"
-#include "fs/perms.h"
-#include "storage/block_device.h"
+#include "fs/namespace_fs.h"
 
 namespace mcfs::fs {
 
@@ -56,50 +53,35 @@ struct Ext2Options {
   bool bug_ack_before_journal_commit = false;
 };
 
-class Ext2Fs : public FileSystem, public MountStateCapture {
+// On-disk inode image.
+struct Ext2Inode {
+  static constexpr std::size_t kDirectBlocks = 12;
+
+
+  FileType type = FileType::kRegular;
+  Mode mode = 0;
+  std::uint32_t nlink = 0;
+  std::uint32_t uid = 0;
+  std::uint32_t gid = 0;
+  std::uint64_t size = 0;
+  std::uint64_t atime_ns = 0;
+  std::uint64_t mtime_ns = 0;
+  std::uint64_t ctime_ns = 0;
+  std::array<std::uint32_t, kDirectBlocks> direct{};
+  std::uint32_t indirect = 0;
+  std::uint32_t xattr_block = 0;
+};
+
+class Ext2Fs : public NamespaceFs<Ext2Inode, Ext2Options> {
  public:
   Ext2Fs(storage::BlockDevicePtr device, Ext2Options options = {});
   ~Ext2Fs() override;
 
-  // FileSystem interface.
   Status Mkfs() override;
   Status Mount() override;
   Status Unmount() override;
-  bool IsMounted() const override { return mounted_; }
-
-  Result<InodeAttr> GetAttr(const std::string& path) override;
-  Status Mkdir(const std::string& path, Mode mode) override;
-  Status Rmdir(const std::string& path) override;
-  Status Unlink(const std::string& path) override;
-  Result<std::vector<DirEntry>> ReadDir(const std::string& path) override;
-
-  Result<FileHandle> Open(const std::string& path, std::uint32_t flags,
-                          Mode mode) override;
-  Status Close(FileHandle fh) override;
-  Result<Bytes> Read(FileHandle fh, std::uint64_t offset,
-                     std::uint64_t size) override;
-  Result<std::uint64_t> Write(FileHandle fh, std::uint64_t offset,
-                              ByteView data) override;
-  Status Truncate(const std::string& path, std::uint64_t size) override;
   Status Fsync(FileHandle fh) override;
-
-  Status Chmod(const std::string& path, Mode mode) override;
-  Status Chown(const std::string& path, std::uint32_t uid,
-               std::uint32_t gid) override;
   Result<StatVfs> StatFs() override;
-
-  bool Supports(FsFeature feature) const override;
-  Status Rename(const std::string& from, const std::string& to) override;
-  Status Link(const std::string& existing, const std::string& link) override;
-  Status Symlink(const std::string& target, const std::string& link) override;
-  Result<std::string> ReadLink(const std::string& path) override;
-  Status Access(const std::string& path, std::uint32_t mode) override;
-  Status SetXattr(const std::string& path, const std::string& name,
-                  ByteView value) override;
-  Result<Bytes> GetXattr(const std::string& path,
-                         const std::string& name) override;
-  Result<std::vector<std::string>> ListXattr(const std::string& path) override;
-  Status RemoveXattr(const std::string& path, const std::string& name) override;
 
   std::string TypeName() const override { return options_.type_name; }
 
@@ -115,34 +97,12 @@ class Ext2Fs : public FileSystem, public MountStateCapture {
   std::uint64_t dirty_block_count() const;
 
  protected:
-  // On-disk inode image.
-  struct Inode {
-    FileType type = FileType::kRegular;
-    Mode mode = 0;
-    std::uint32_t nlink = 0;
-    std::uint32_t uid = 0;
-    std::uint32_t gid = 0;
-    std::uint64_t size = 0;
-    std::uint64_t atime_ns = 0;
-    std::uint64_t mtime_ns = 0;
-    std::uint64_t ctime_ns = 0;
-    std::array<std::uint32_t, 12> direct{};
-    std::uint32_t indirect = 0;
-    std::uint32_t xattr_block = 0;
-  };
-
-  struct OpenFile {
-    InodeNum ino = kInvalidInode;
-    std::uint32_t flags = 0;
-  };
-
   static constexpr std::uint32_t kMagic = 0x45583246;  // "EX2F"
   static constexpr std::uint32_t kInodeDiskSize = 128;
-  static constexpr InodeNum kRootIno = 1;
 
   // ---- block cache (write-back, LRU eviction) ----
-  Result<Bytes> ReadBlock(std::uint32_t block_no);
-  Status WriteBlock(std::uint32_t block_no, ByteView data);
+  Result<Bytes> ReadBlock(std::uint32_t block_no) override;
+  Status WriteBlock(std::uint32_t block_no, ByteView data) override;
   Status FlushCache();
   void TouchBlock(std::uint32_t block_no);
   Status EvictIfNeeded();
@@ -160,76 +120,32 @@ class Ext2Fs : public FileSystem, public MountStateCapture {
   bool ack_without_barrier_ = false;
 
   // ---- allocation ----
-  Result<std::uint32_t> AllocBlock();
-  Status FreeBlock(std::uint32_t block_no);
-  Result<InodeNum> AllocInode();
-  Status FreeInode(InodeNum ino);
+  Result<std::uint32_t> AllocBlock() override;
+  Status FreeBlock(std::uint32_t block_no) override;
+  Result<InodeNum> AllocInode() override;
+  Status FreeInode(InodeNum ino) override;
+  // Frees the file's blocks, its xattr block and the inode.
+  Status DropInode(Inode& inode, InodeNum ino) override;
   std::uint32_t data_region_start() const;
 
   // ---- inode I/O ----
-  Result<Inode> LoadInode(InodeNum ino);
-  Status StoreInode(InodeNum ino, const Inode& inode);
+  Result<Inode> LoadInode(InodeNum ino) override;
+  Status StoreInode(InodeNum ino, const Inode& inode) override;
 
-  // ---- file block mapping ----
-  // Returns the disk block backing file-block `index`, 0 for a hole.
-  Result<std::uint32_t> MapBlock(const Inode& inode, std::uint64_t index);
-  // Like MapBlock but allocates (and records) a block for holes.
-  Result<std::uint32_t> MapBlockAlloc(Inode& inode, std::uint64_t index);
-  Status FreeFileBlocks(Inode& inode, std::uint64_t from_block);
-  std::uint64_t CountAllocatedBlocks(const Inode& inode);
+  // ---- file block mapping: 12 direct pointers, one indirect block ----
+  Result<std::uint32_t> MapBlock(const Inode& inode,
+                                 std::uint64_t index) override;
+  Result<std::uint32_t> MapBlockAlloc(Inode& inode,
+                                      std::uint64_t index) override;
+  Status FreeFileBlocks(Inode& inode, std::uint64_t from_block) override;
+  std::uint64_t max_file_bytes() const override;
 
-  // ---- directories ----
-  struct RawDirEntry {
-    std::string name;
-    InodeNum ino;
-    FileType type;
-  };
-  Result<std::vector<RawDirEntry>> LoadDir(InodeNum ino);
-  Status StoreDir(InodeNum ino, Inode& inode,
-                  const std::vector<RawDirEntry>& entries);
-
-  // ---- path resolution ----
-  struct Resolved {
-    InodeNum ino;
-    Inode inode;
-  };
-  Result<Resolved> ResolvePath(const std::string& path);
-  // Resolves the parent directory of `path` and returns it plus basename.
-  struct ResolvedParent {
-    InodeNum parent_ino;
-    Inode parent;
-    std::string name;
-  };
-  Result<ResolvedParent> ResolveParent(const std::string& path);
-
-  // ---- data I/O on inodes ----
-  Result<Bytes> ReadInodeData(const Inode& inode, std::uint64_t offset,
-                              std::uint64_t size);
-  Result<std::uint64_t> WriteInodeData(Inode& inode, std::uint64_t offset,
-                                       ByteView data);
-  Status TruncateInode(Inode& inode, std::uint64_t new_size);
-
-  // ---- helpers ----
-  std::uint64_t NowNs();
-  InodeAttr ToAttr(InodeNum ino, const Inode& inode) const;
-  Result<InodeNum> CreateNode(const std::string& path, FileType type,
-                              Mode mode, const std::string& symlink_target);
-  Status RemoveNode(const std::string& path, bool want_dir);
-  Status CheckNotMounted() const {
-    return mounted_ ? Status(Errno::kEBUSY) : Status::Ok();
-  }
-  Status CheckMounted() const {
-    return mounted_ ? Status::Ok() : Status(Errno::kEINVAL);
-  }
-
-  // ---- xattr block ----
-  using XattrMap = std::map<std::string, Bytes>;
-  Result<XattrMap> LoadXattrs(const Inode& inode);
-  Status StoreXattrs(Inode& inode, const XattrMap& xattrs);
-
-  storage::BlockDevicePtr device_;
-  Ext2Options options_;
-  bool mounted_ = false;
+  // ---- attribute view ----
+  InodeAttr ToAttr(InodeNum ino, const Inode& inode) const override;
+  // Data, indirect and xattr blocks.
+  std::uint64_t CountAllocatedBlocks(const Inode& inode) override;
+  // Insertion order.
+  void OrderDirEntries(std::vector<DirEntry>&) const override {}
 
   // In-memory (mount-time) state — the part that goes stale if the device
   // is restored underneath a live mount.
@@ -249,9 +165,6 @@ class Ext2Fs : public FileSystem, public MountStateCapture {
   std::map<std::uint32_t, bool> cache_dirty_;   // block_no -> dirty?
   std::map<std::uint32_t, std::uint64_t> cache_age_;  // LRU recency
   std::uint64_t cache_tick_ = 0;
-  std::unordered_map<FileHandle, OpenFile> open_files_;
-  FileHandle next_handle_ = 1;
-  std::uint64_t op_counter_ = 0;  // drives timestamps deterministically
 
   Status WriteSuperblock();
   Status WriteBitmaps();

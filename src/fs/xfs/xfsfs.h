@@ -20,14 +20,9 @@
 // blocks 3.. inode table (256-byte inodes); data after.
 #pragma once
 
-#include <map>
-#include <unordered_map>
 #include <vector>
 
-#include "fs/filesystem.h"
-#include "fs/mount_state.h"
-#include "fs/perms.h"
-#include "storage/block_device.h"
+#include "fs/namespace_fs.h"
 
 namespace mcfs::fs {
 
@@ -43,7 +38,27 @@ struct XfsOptions {
   Identity identity;
 };
 
-class XfsFs final : public FileSystem, public MountStateCapture {
+struct XfsExtent {
+  std::uint32_t file_block = 0;
+  std::uint32_t disk_block = 0;
+  std::uint32_t length = 0;
+};
+
+struct XfsInode {
+  FileType type = FileType::kRegular;
+  Mode mode = 0;
+  std::uint32_t nlink = 0;
+  std::uint32_t uid = 0;
+  std::uint32_t gid = 0;
+  std::uint64_t size = 0;
+  std::uint64_t atime_ns = 0;
+  std::uint64_t mtime_ns = 0;
+  std::uint64_t ctime_ns = 0;
+  std::uint32_t xattr_block = 0;
+  std::vector<XfsExtent> extents;  // at most XfsFs::kMaxExtents, sorted
+};
+
+class XfsFs final : public NamespaceFs<XfsInode, XfsOptions> {
  public:
   // Paper §6: "16MB for XFS, which allows a larger minimum file-system
   // size". Mkfs on anything smaller fails.
@@ -55,41 +70,8 @@ class XfsFs final : public FileSystem, public MountStateCapture {
   Status Mkfs() override;
   Status Mount() override;
   Status Unmount() override;
-  bool IsMounted() const override { return mounted_; }
-
-  Result<InodeAttr> GetAttr(const std::string& path) override;
-  Status Mkdir(const std::string& path, Mode mode) override;
-  Status Rmdir(const std::string& path) override;
-  Status Unlink(const std::string& path) override;
-  Result<std::vector<DirEntry>> ReadDir(const std::string& path) override;
-
-  Result<FileHandle> Open(const std::string& path, std::uint32_t flags,
-                          Mode mode) override;
-  Status Close(FileHandle fh) override;
-  Result<Bytes> Read(FileHandle fh, std::uint64_t offset,
-                     std::uint64_t size) override;
-  Result<std::uint64_t> Write(FileHandle fh, std::uint64_t offset,
-                              ByteView data) override;
-  Status Truncate(const std::string& path, std::uint64_t size) override;
   Status Fsync(FileHandle fh) override;
-
-  Status Chmod(const std::string& path, Mode mode) override;
-  Status Chown(const std::string& path, std::uint32_t uid,
-               std::uint32_t gid) override;
   Result<StatVfs> StatFs() override;
-
-  bool Supports(FsFeature feature) const override;
-  Status Rename(const std::string& from, const std::string& to) override;
-  Status Link(const std::string& existing, const std::string& link) override;
-  Status Symlink(const std::string& target, const std::string& link) override;
-  Result<std::string> ReadLink(const std::string& path) override;
-  Status Access(const std::string& path, std::uint32_t mode) override;
-  Status SetXattr(const std::string& path, const std::string& name,
-                  ByteView value) override;
-  Result<Bytes> GetXattr(const std::string& path,
-                         const std::string& name) override;
-  Result<std::vector<std::string>> ListXattr(const std::string& path) override;
-  Status RemoveXattr(const std::string& path, const std::string& name) override;
 
   std::string TypeName() const override { return "xfsf"; }
 
@@ -104,48 +86,17 @@ class XfsFs final : public FileSystem, public MountStateCapture {
   static constexpr std::uint32_t kMagic = 0x58465346;  // "XFSF"
   static constexpr std::uint32_t kInodeDiskSize = 256;
   static constexpr std::size_t kMaxExtents = 8;
-  static constexpr InodeNum kRootIno = 1;
   static constexpr std::uint32_t kFreeListBlocks = 2;
-
-  struct Extent {
-    std::uint32_t file_block = 0;
-    std::uint32_t disk_block = 0;
-    std::uint32_t length = 0;
-  };
-
-  struct Inode {
-    FileType type = FileType::kRegular;
-    Mode mode = 0;
-    std::uint32_t nlink = 0;
-    std::uint32_t uid = 0;
-    std::uint32_t gid = 0;
-    std::uint64_t size = 0;
-    std::uint64_t atime_ns = 0;
-    std::uint64_t mtime_ns = 0;
-    std::uint64_t ctime_ns = 0;
-    std::uint32_t xattr_block = 0;
-    std::vector<Extent> extents;  // at most kMaxExtents, file_block-sorted
-  };
-
-  struct OpenFile {
-    InodeNum ino = kInvalidInode;
-    std::uint32_t flags = 0;
-  };
-
-  struct RawDirEntry {
-    std::string name;
-    InodeNum ino;
-    FileType type;
-  };
 
   // ---- raw block I/O (write-through; mount-time caches are the free
   // list + open handles, which still go stale if the device is restored
   // underneath — the §3.2 hazard applies here too) ----
-  Result<Bytes> ReadBlockRaw(std::uint32_t block_no);
-  Status WriteBlockRaw(std::uint32_t block_no, ByteView data);
+  Result<Bytes> ReadBlock(std::uint32_t block_no) override;
+  Status WriteBlock(std::uint32_t block_no, ByteView data) override;
 
   // ---- allocation (free-extent list, first-fit, coalescing) ----
-  Result<std::uint32_t> AllocBlocks(std::uint32_t count);
+  Result<std::uint32_t> AllocBlock() override;
+  Status FreeBlock(std::uint32_t block_no) override;
   void FreeBlocks(std::uint32_t start, std::uint32_t count);
   void CoalesceFreeList();
   std::uint64_t FreeBlockCount() const;
@@ -155,57 +106,30 @@ class XfsFs final : public FileSystem, public MountStateCapture {
   std::uint32_t total_blocks() const;
 
   // ---- inode I/O ----
-  Result<Inode> LoadInode(InodeNum ino);
-  Status StoreInode(InodeNum ino, const Inode& inode);
-  Result<InodeNum> AllocInode();
-  void FreeInodeSlot(InodeNum ino);
+  Result<Inode> LoadInode(InodeNum ino) override;
+  Status StoreInode(InodeNum ino, const Inode& inode) override;
+  Result<InodeNum> AllocInode() override;
+  Status FreeInode(InodeNum ino) override;
+  // Frees the extents and the xattr block, then marks the slot unused
+  // on disk as well as in the map.
+  Status DropInode(Inode& inode, InodeNum ino) override;
 
   // ---- extent mapping ----
-  // Disk block backing file block `fb`, or 0 for a hole.
-  std::uint32_t MapBlock(const Inode& inode, std::uint32_t fb) const;
-  // Allocates a block for `fb` if unmapped, merging into an adjacent
-  // extent when physically contiguous. EFBIG once kMaxExtents is hit.
-  Result<std::uint32_t> MapBlockAlloc(Inode& inode, std::uint32_t fb);
-  Status FreeFileBlocksFrom(Inode& inode, std::uint32_t from_fb);
+  Result<std::uint32_t> MapBlock(const Inode& inode,
+                                 std::uint64_t index) override;
+  // Allocates a block for the hole, merging into an adjacent extent when
+  // physically contiguous. EFBIG once kMaxExtents is hit, or for a file
+  // block past 2^32.
+  Result<std::uint32_t> MapBlockAlloc(Inode& inode,
+                                      std::uint64_t index) override;
+  Status FreeFileBlocks(Inode& inode, std::uint64_t from_block) override;
+  std::uint64_t max_file_bytes() const override;
 
-  // ---- data I/O ----
-  Result<Bytes> ReadInodeData(const Inode& inode, std::uint64_t offset,
-                              std::uint64_t size);
-  Result<std::uint64_t> WriteInodeData(Inode& inode, std::uint64_t offset,
-                                       ByteView data);
-  Status TruncateInode(Inode& inode, std::uint64_t new_size);
-
-  // ---- directories / paths ----
-  Result<std::vector<RawDirEntry>> LoadDir(InodeNum ino);
-  Status StoreDir(InodeNum ino, Inode& inode,
-                  const std::vector<RawDirEntry>& entries);
-  struct Resolved {
-    InodeNum ino;
-    Inode inode;
-  };
-  Result<Resolved> ResolvePath(const std::string& path);
-  struct ResolvedParent {
-    InodeNum parent_ino;
-    Inode parent;
-    std::string name;
-  };
-  Result<ResolvedParent> ResolveParent(const std::string& path);
-
-  // ---- helpers ----
-  std::uint64_t NowNs() { return ++op_counter_ * 1000; }
-  InodeAttr ToAttr(InodeNum ino, const Inode& inode) const;
-  Result<InodeNum> CreateNode(const std::string& path, FileType type,
-                              Mode mode, const std::string& symlink_target);
-  Status RemoveNode(const std::string& path, bool want_dir);
-  Status DropInodeStorage(Inode& inode, InodeNum ino);
-
-  using XattrMap = std::map<std::string, Bytes>;
-  Result<XattrMap> LoadXattrs(const Inode& inode);
-  Status StoreXattrs(Inode& inode, const XattrMap& xattrs);
-
-  storage::BlockDevicePtr device_;
-  XfsOptions options_;
-  bool mounted_ = false;
+  // ---- attribute view ----
+  InodeAttr ToAttr(InodeNum ino, const Inode& inode) const override;
+  // Extent lengths plus the xattr block.
+  std::uint64_t CountAllocatedBlocks(const Inode& inode) override;
+  void OrderDirEntries(std::vector<DirEntry>& entries) const override;
 
   struct Superblock {
     std::uint32_t magic = 0;
@@ -216,9 +140,6 @@ class XfsFs final : public FileSystem, public MountStateCapture {
   Superblock sb_;
   std::vector<std::pair<std::uint32_t, std::uint32_t>> free_extents_;
   std::vector<bool> inode_used_;
-  std::unordered_map<FileHandle, OpenFile> open_files_;
-  FileHandle next_handle_ = 1;
-  std::uint64_t op_counter_ = 0;
 };
 
 }  // namespace mcfs::fs
