@@ -102,12 +102,12 @@ void BM_VisitedTableInsert(benchmark::State& state) {
 BENCHMARK(BM_VisitedTableInsert);
 
 void BM_BitstateInsert(benchmark::State& state) {
-  mc::BitstateFilter filter(1 << 24);
+  mc::ConcurrentBitstateFilter filter(1 << 24);
   std::uint64_t i = 0;
   for (auto _ : state) {
     Md5 md5;
     md5.UpdateU64(i++);
-    benchmark::DoNotOptimize(filter.Insert(md5.Final()));
+    benchmark::DoNotOptimize(filter.Insert(md5.Final()).inserted);
   }
 }
 BENCHMARK(BM_BitstateInsert);

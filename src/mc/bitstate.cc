@@ -5,52 +5,6 @@
 
 namespace mcfs::mc {
 
-BitstateFilter::BitstateFilter(std::uint64_t bits, int k)
-    : bit_count_(std::bit_ceil(std::max<std::uint64_t>(bits, 64))),
-      k_(k),
-      words_(bit_count_ / 64, 0) {}
-
-std::uint64_t BitstateFilter::Probe(const Md5Digest& digest,
-                                    int which) const {
-  // Derive independent probes from disjoint digest halves (Kirsch-
-  // Mitzenmacher double hashing).
-  const std::uint64_t h1 = digest.lo64();
-  const std::uint64_t h2 = digest.hi64() | 1;  // odd, so probes cycle fully
-  return (h1 + static_cast<std::uint64_t>(which) * h2) & (bit_count_ - 1);
-}
-
-bool BitstateFilter::Insert(const Md5Digest& digest) {
-  bool any_new = false;
-  for (int i = 0; i < k_; ++i) {
-    const std::uint64_t bit = Probe(digest, i);
-    std::uint64_t& word = words_[bit / 64];
-    const std::uint64_t mask = 1ull << (bit % 64);
-    if (!(word & mask)) {
-      word |= mask;
-      ++bits_set_;
-      any_new = true;
-    }
-  }
-  return any_new;
-}
-
-bool BitstateFilter::MaybeContains(const Md5Digest& digest) const {
-  for (int i = 0; i < k_; ++i) {
-    const std::uint64_t bit = Probe(digest, i);
-    if (!(words_[bit / 64] & (1ull << (bit % 64)))) return false;
-  }
-  return true;
-}
-
-double BitstateFilter::EstimatedFalsePositiveRate() const {
-  const double fill =
-      static_cast<double>(bits_set_) / static_cast<double>(bit_count_);
-  return std::pow(fill, k_);
-}
-
-// ---------------------------------------------------------------------------
-// ConcurrentBitstateFilter
-
 ConcurrentBitstateFilter::ConcurrentBitstateFilter(std::uint64_t bits, int k)
     : bit_count_(std::bit_ceil(std::max<std::uint64_t>(bits, 64))),
       k_(k),
@@ -63,8 +17,10 @@ ConcurrentBitstateFilter::ConcurrentBitstateFilter(std::uint64_t bits, int k)
 
 std::uint64_t ConcurrentBitstateFilter::Probe(const Md5Digest& digest,
                                               int which) const {
+  // Derive independent probes from disjoint digest halves (Kirsch-
+  // Mitzenmacher double hashing).
   const std::uint64_t h1 = digest.lo64();
-  const std::uint64_t h2 = digest.hi64() | 1;
+  const std::uint64_t h2 = digest.hi64() | 1;  // odd, so probes cycle fully
   return (h1 + static_cast<std::uint64_t>(which) * h2) & (bit_count_ - 1);
 }
 

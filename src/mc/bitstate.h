@@ -10,52 +10,30 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "mc/visited_store.h"
 #include "util/md5.h"
 
 namespace mcfs::mc {
 
-class BitstateFilter {
- public:
-  // `bits` must be a power of two. k is the number of probe bits per
-  // state (Spin's default is 2, hence "double-bit hashing").
-  explicit BitstateFilter(std::uint64_t bits = 1ull << 20, int k = 2);
-
-  // Marks the state visited. Returns true if it was (apparently) new —
-  // i.e., at least one of its probe bits was previously unset.
-  bool Insert(const Md5Digest& digest);
-
-  bool MaybeContains(const Md5Digest& digest) const;
-
-  std::uint64_t bits() const { return bit_count_; }
-  std::uint64_t bits_set() const { return bits_set_; }
-  std::uint64_t bytes_used() const { return words_.size() * 8; }
-  // Expected false-positive probability at the current fill level.
-  double EstimatedFalsePositiveRate() const;
-
- private:
-  std::uint64_t Probe(const Md5Digest& digest, int which) const;
-
-  std::uint64_t bit_count_;
-  int k_;
-  std::vector<std::uint64_t> words_;
-  std::uint64_t bits_set_ = 0;
-};
-
-// Thread-safe bitstate filter for cooperative swarms: the same probe
-// scheme over std::atomic words. Insert is a relaxed fetch_or per probe
-// bit — lock-free, and safe to hammer from every worker at once. The
-// price of relaxed ordering is benign double-counting: two workers
-// setting the *same* previously-clear bit in the same instant can both
-// see it as new, so size() may slightly overcount distinct states (the
-// membership bits themselves are exact — fetch_or is atomic).
+// The bitstate filter, for a solo explorer and for a cooperative swarm
+// alike: k probe bits per state over std::atomic words. Insert is a
+// relaxed fetch_or per probe bit — lock-free, and safe to hammer from
+// every worker at once. The price of relaxed ordering is benign
+// double-counting: two workers setting the *same* previously-clear bit
+// in the same instant can both see it as new, so size() may slightly
+// overcount distinct states (the membership bits themselves are exact —
+// fetch_or is atomic). On one thread the answers are exact.
 class ConcurrentBitstateFilter final : public VisitedStore {
  public:
+  // `bits` is rounded up to a power of two (at least 64). k is the number
+  // of probe bits per state (Spin's default is 2, hence "double-bit
+  // hashing").
   explicit ConcurrentBitstateFilter(std::uint64_t bits = 1ull << 20,
                                     int k = 2);
 
+  // Marks the state visited; `inserted` is set if it was (apparently)
+  // new — i.e., at least one of its probe bits was previously unset.
   StoreInsert Insert(const Md5Digest& digest) override;
   bool Contains(const Md5Digest& digest) const override;
 
@@ -70,6 +48,7 @@ class ConcurrentBitstateFilter final : public VisitedStore {
   std::uint64_t bits_set() const {
     return bits_set_.load(std::memory_order_relaxed);
   }
+  // Expected false-positive probability at the current fill level.
   double EstimatedFalsePositiveRate() const;
 
  private:

@@ -31,7 +31,8 @@ Explorer::Explorer(System& system, ExplorerOptions options)
       visited_(1024),
       rng_(options.seed) {
   if (options_.use_bitstate && options_.shared_store == nullptr) {
-    bitstate_.emplace(options_.bitstate_bits);
+    bitstate_ =
+        std::make_unique<ConcurrentBitstateFilter>(options_.bitstate_bits);
   }
   if (options_.resume_visited != nullptr) {
     auto resumed = VisitedTable::Deserialize(*options_.resume_visited);
@@ -58,7 +59,7 @@ Explorer::Explorer(System& system, ExplorerOptions options)
 }
 
 Result<Bytes> Explorer::ExportCheckpoint() const {
-  if (bitstate_.has_value()) {
+  if (bitstate_ != nullptr) {
     // Bitstate mode never populates visited_; serializing it would yield
     // an empty image that a resumed run would happily accept as "no
     // states explored yet".
@@ -179,7 +180,8 @@ Explorer::RecordResult Explorer::RecordState(const Md5Digest& digest) {
       result.globally_new = shared.inserted;
     }
   } else if (options_.use_bitstate) {
-    result.locally_new = result.globally_new = bitstate_->Insert(digest);
+    result.locally_new = result.globally_new =
+        bitstate_->Insert(digest).inserted;
   } else {
     const VisitedTable::InsertResult r = visited_.Insert(digest);
     if (r.resized && options_.clock != nullptr) {

@@ -178,7 +178,7 @@ class Explorer {
   System& system_;
   ExplorerOptions options_;
   VisitedTable visited_;
-  std::optional<BitstateFilter> bitstate_;
+  std::unique_ptr<ConcurrentBitstateFilter> bitstate_;
   Rng rng_;
   ExploreStats stats_;
   std::uint64_t stored_state_bytes_ = 0;

@@ -136,26 +136,26 @@ TEST(VisitedTableTest, SerializeRoundTripsSizeWithDuplicateDigests) {
 }
 
 // ---------------------------------------------------------------------------
-// BitstateFilter
+// ConcurrentBitstateFilter on one thread
 
 TEST(BitstateTest, InsertReportsNewness) {
-  BitstateFilter filter(1 << 16);
-  EXPECT_TRUE(filter.Insert(DigestOf(1)));
-  EXPECT_FALSE(filter.Insert(DigestOf(1)));
-  EXPECT_TRUE(filter.MaybeContains(DigestOf(1)));
-  EXPECT_FALSE(filter.MaybeContains(DigestOf(999)));
+  ConcurrentBitstateFilter filter(1 << 16);
+  EXPECT_TRUE(filter.Insert(DigestOf(1)).inserted);
+  EXPECT_FALSE(filter.Insert(DigestOf(1)).inserted);
+  EXPECT_TRUE(filter.Contains(DigestOf(1)));
+  EXPECT_FALSE(filter.Contains(DigestOf(999)));
 }
 
 TEST(BitstateTest, NoFalseNegatives) {
-  BitstateFilter filter(1 << 18);
+  ConcurrentBitstateFilter filter(1 << 18);
   for (std::uint64_t i = 0; i < 5000; ++i) filter.Insert(DigestOf(i));
   for (std::uint64_t i = 0; i < 5000; ++i) {
-    EXPECT_TRUE(filter.MaybeContains(DigestOf(i))) << i;
+    EXPECT_TRUE(filter.Contains(DigestOf(i))) << i;
   }
 }
 
 TEST(BitstateTest, FalsePositiveRateIsSmallWhenSparse) {
-  BitstateFilter filter(1 << 20);
+  ConcurrentBitstateFilter filter(1 << 20);
   for (std::uint64_t i = 0; i < 1000; ++i) filter.Insert(DigestOf(i));
   EXPECT_LT(filter.EstimatedFalsePositiveRate(), 0.001);
   // Memory is tiny compared to a full table of the same reach: that is
@@ -164,7 +164,7 @@ TEST(BitstateTest, FalsePositiveRateIsSmallWhenSparse) {
 }
 
 TEST(BitstateTest, SaturationRaisesFalsePositiveRate) {
-  BitstateFilter filter(1 << 10);
+  ConcurrentBitstateFilter filter(1 << 10);
   for (std::uint64_t i = 0; i < 2000; ++i) filter.Insert(DigestOf(i));
   EXPECT_GT(filter.EstimatedFalsePositiveRate(), 0.5);
 }
