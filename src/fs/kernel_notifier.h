@@ -5,6 +5,7 @@
 #pragma once
 
 #include <string>
+#include <vector>
 
 #include "fs/types.h"
 
@@ -21,5 +22,13 @@ class KernelNotifier {
   // Invalidate cached attributes/data of one inode.
   virtual void InvalInode(InodeNum ino) = 0;
 };
+
+// Sends what a state rollback owes the kernel: InvalEntry for each
+// distinct path, in ascending order, then InvalInode for each distinct
+// inode, ascending. Duplicates collapse, so callers may pass overlapping
+// sets (the namespace before and after the rollback).
+void NotifyInvalidations(KernelNotifier& notifier,
+                         std::vector<std::string> paths,
+                         std::vector<InodeNum> inos);
 
 }  // namespace mcfs::fs

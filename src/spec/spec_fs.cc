@@ -657,16 +657,9 @@ void SpecFs::InvalidateKernelCaches(std::vector<std::string> extra_paths,
   for (const auto& [path, ino] : names_) {
     if (path != "/") paths.push_back(path);
   }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  for (const auto& path : paths) {
-    notifier_->InvalEntry(fs::ParentPath(path), fs::Basename(path));
-  }
   std::vector<fs::InodeNum> inos = std::move(extra_inos);
   for (const auto& [ino, node] : inodes_) inos.push_back(ino);
-  std::sort(inos.begin(), inos.end());
-  inos.erase(std::unique(inos.begin(), inos.end()), inos.end());
-  for (fs::InodeNum ino : inos) notifier_->InvalInode(ino);
+  fs::NotifyInvalidations(*notifier_, std::move(paths), std::move(inos));
 }
 
 Result<fs::SnapshotId> SpecFs::Checkpoint() {

@@ -647,18 +647,9 @@ void Verifs1::InvalidateKernelCaches(
   if (notifier_ == nullptr) return;
   std::vector<std::string> paths = CollectAllPaths();
   paths.insert(paths.end(), extra_paths.begin(), extra_paths.end());
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  for (const auto& path : paths) {
-    notifier_->InvalEntry(fs::ParentPath(path), fs::Basename(path));
-  }
   std::vector<fs::InodeNum> inos = CollectUsedInos();
   inos.insert(inos.end(), extra_inos.begin(), extra_inos.end());
-  std::sort(inos.begin(), inos.end());
-  inos.erase(std::unique(inos.begin(), inos.end()), inos.end());
-  for (fs::InodeNum ino : inos) {
-    notifier_->InvalInode(ino);
-  }
+  fs::NotifyInvalidations(*notifier_, std::move(paths), std::move(inos));
 }
 
 void Verifs1::EmitInvalRecords(const std::vector<InvalRecord>& records) {
@@ -669,16 +660,7 @@ void Verifs1::EmitInvalRecords(const std::vector<InvalRecord>& records) {
     if (!rec.path.empty()) paths.push_back(rec.path);
     if (rec.ino != fs::kInvalidInode) inos.push_back(rec.ino);
   }
-  std::sort(paths.begin(), paths.end());
-  paths.erase(std::unique(paths.begin(), paths.end()), paths.end());
-  for (const auto& path : paths) {
-    notifier_->InvalEntry(fs::ParentPath(path), fs::Basename(path));
-  }
-  std::sort(inos.begin(), inos.end());
-  inos.erase(std::unique(inos.begin(), inos.end()), inos.end());
-  for (fs::InodeNum ino : inos) {
-    notifier_->InvalInode(ino);
-  }
+  fs::NotifyInvalidations(*notifier_, std::move(paths), std::move(inos));
 }
 
 void Verifs1::CompactInvalLog() {
