@@ -125,24 +125,22 @@ Status AppendNodeBytes(Md5& md5ctx, vfs::Vfs& v, const std::string& path,
     md5ctx.UpdateU64(a.ctime_ns);
   }
 
-  if (options.include_xattrs) {
-    auto names = v.ListXattr(path);
-    if (names.ok()) {
-      std::vector<std::string> sorted = names.value();
-      std::sort(sorted.begin(), sorted.end());
-      for (const auto& name : sorted) {
-        auto value = v.GetXattr(path, name);
-        if (!value.ok()) return value.error();
-        md5ctx.Update(name);
-        md5ctx.Update(value.value());
-      }
-    } else if (names.error() != Errno::kENOTSUP) {
-      // ENOTSUP (VeriFS1-class systems) means "no xattrs", which is a
-      // normal state: skip quietly. Anything else is a real I/O failure
-      // during the walk — swallowing it would silently drop xattrs from
-      // the digest, turning an infrastructure error into a false match.
-      return names.error();
+  auto names = v.ListXattr(path);
+  if (names.ok()) {
+    std::vector<std::string> sorted = names.value();
+    std::sort(sorted.begin(), sorted.end());
+    for (const auto& name : sorted) {
+      auto value = v.GetXattr(path, name);
+      if (!value.ok()) return value.error();
+      md5ctx.Update(name);
+      md5ctx.Update(value.value());
     }
+  } else if (names.error() != Errno::kENOTSUP) {
+    // ENOTSUP (VeriFS1-class systems) means "no xattrs", which is a
+    // normal state: skip quietly. Anything else is a real I/O failure
+    // during the walk — swallowing it would silently drop xattrs from
+    // the digest, turning an infrastructure error into a false match.
+    return names.error();
   }
   return Status::Ok();
 }
@@ -225,8 +223,7 @@ std::uint64_t IncrementalAbstraction::Fingerprint(
     md5ctx.Update(exception);
   }
   md5ctx.UpdateU64((options.ignore_directory_sizes ? 1u : 0u) |
-                   (options.include_xattrs ? 2u : 0u) |
-                   (options.include_timestamps ? 4u : 0u));
+                   (options.include_timestamps ? 2u : 0u));
   return md5ctx.Final().lo64();
 }
 

@@ -44,8 +44,6 @@ struct AbstractionOptions {
   std::vector<std::string> exception_list;
   // §3.4 workaround: ignore directory sizes (on = paper behaviour).
   bool ignore_directory_sizes = true;
-  // Include xattr names/values (both VeriFS2-class systems support them).
-  bool include_xattrs = true;
   // Ablation knob (bench T-statespace): hash timestamps too, showing the
   // state explosion the paper describes when noise enters the state.
   bool include_timestamps = false;

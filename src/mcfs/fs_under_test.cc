@@ -18,7 +18,7 @@ namespace {
 
 // The paper's device sizes (§6): 256 KB RAM disks for ext2/ext4, 16 MB
 // for XFS; we use a 1 MB mtdram for JFFS2.
-std::uint64_t DefaultDeviceBytes(FsKind kind) {
+std::uint64_t DeviceBytes(FsKind kind) {
   switch (kind) {
     case FsKind::kExt2:
     case FsKind::kExt4:
@@ -112,9 +112,7 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
   auto fut = std::unique_ptr<FsUnderTest>(new FsUnderTest());
   fut->config_ = config;
   fut->clock_ = clock;
-  const std::uint64_t device_bytes = config.device_bytes != 0
-                                         ? config.device_bytes
-                                         : DefaultDeviceBytes(config.kind);
+  const std::uint64_t device_bytes = DeviceBytes(config.kind);
   if (config.crashable_device &&
       (config.kind == FsKind::kVerifs1 || config.kind == FsKind::kVerifs2 ||
        config.kind == FsKind::kSpec)) {

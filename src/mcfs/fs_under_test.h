@@ -62,9 +62,6 @@ std::string_view FsKindName(FsKind kind);
 struct FsUnderTestConfig {
   FsKind kind = FsKind::kExt2;
   Backend backend = Backend::kRam;
-  // 0 = pick the file system's default (256 KB for ext2f/ext4f, 16 MB for
-  // xfsf, 1 MB MTD for jffs2f — the paper's sizes).
-  std::uint64_t device_bytes = 0;
   StateStrategy strategy = StateStrategy::kRemountPerOp;
   // ext2f/ext4f: write-back cache capacity in blocks (0 = unbounded).
   // Small values force eviction, which is what turns an unsynchronized

@@ -30,13 +30,11 @@ Result<std::unique_ptr<Mcfs>> Mcfs::Create(McfsConfig config) {
   if (!fs_b.ok()) return fs_b.error();
   mcfs->fs_b_ = std::move(fs_b).value();
 
-  if (mcfs->config_.equalize_free_space) {
-    if (Status s = mcfs->fs_a_->EnsureMounted(); !s.ok()) return s.error();
-    if (Status s = mcfs->fs_b_->EnsureMounted(); !s.ok()) return s.error();
-    auto eq = EqualizeFreeSpace(
-        {&mcfs->fs_a_->vfs(), &mcfs->fs_b_->vfs()});
-    if (!eq.ok()) return eq.error();
-  }
+  // §3.4 workaround 4: equalize free space across the pair at startup.
+  if (Status s = mcfs->fs_a_->EnsureMounted(); !s.ok()) return s.error();
+  if (Status s = mcfs->fs_b_->EnsureMounted(); !s.ok()) return s.error();
+  auto eq = EqualizeFreeSpace({&mcfs->fs_a_->vfs(), &mcfs->fs_b_->vfs()});
+  if (!eq.ok()) return eq.error();
 
   mcfs->engine_ = std::make_unique<SyscallEngine>(
       std::vector<FsUnderTest*>{mcfs->fs_a_.get(), mcfs->fs_b_.get()},

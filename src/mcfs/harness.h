@@ -23,8 +23,6 @@ struct McfsConfig {
   FsUnderTestConfig fs_b;
   EngineOptions engine;
   mc::ExplorerOptions explore;
-  // §3.4 workaround 4: equalize free space across the pair at startup.
-  bool equalize_free_space = true;
   // Attach a MemoryModel (Figure 3 runs).
   bool enable_memory_model = false;
   mc::MemoryModelOptions memory;
