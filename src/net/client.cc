@@ -95,7 +95,7 @@ Result<Frame> RpcClient::CallOnce(FrameType type, ByteView payload,
     if (auto it = ready_.find(ticket); it != ready_.end()) {
       Frame reply = std::move(it->second);
       ready_.erase(it);
-      return std::move(reply);
+      return reply;
     }
     if (auto it = failed_.find(ticket); it != failed_.end()) {
       const Errno error = it->second;

@@ -207,7 +207,7 @@ Result<Socket> ConnectTo(const Endpoint& endpoint, int timeout_ms) {
     int one = 1;
     (void)::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
   }
-  return std::move(sock);
+  return sock;
 }
 
 Listener::~Listener() { Close(); }
@@ -267,7 +267,7 @@ Result<Listener> Listener::Bind(const Endpoint& endpoint) {
   if (::listen(fd, 64) < 0) return Errno::kEIO;
 
   listener.fd_.store(guard.release(), std::memory_order_release);
-  return std::move(listener);
+  return listener;
 }
 
 Result<Socket> Listener::Accept(int timeout_ms) {
@@ -281,7 +281,7 @@ Result<Socket> Listener::Accept(int timeout_ms) {
     if (conn >= 0) {
       Socket sock(conn);
       SetNonBlocking(conn, true);
-      return std::move(sock);
+      return sock;
     }
     if (errno == EAGAIN || errno == EWOULDBLOCK) {
       if (Status s = PollFor(fd, POLLIN, timeout_ms); !s.ok()) {

@@ -196,7 +196,7 @@ Result<DumpResponse> DecodeDumpResponse(ByteView payload) {
       if (!d.ok()) return d.error();
       rsp.digests.push_back(d.value());
     }
-    return std::move(rsp);
+    return rsp;
   });
 }
 
@@ -216,7 +216,7 @@ Result<mc::FrontierEntry> GetFrontierEntry(ByteReader& r) {
     entry.digest = d.value();
     entry.trail = GetU32List(r);
     entry.pending = GetU32List(r);
-    return std::move(entry);
+    return entry;
   });
 }
 
@@ -265,7 +265,7 @@ Result<StealResponse> DecodeStealResponse(ByteView payload) {
       if (!entry.ok()) return entry.error();
       rsp.entry = std::move(entry.value());
     }
-    return std::move(rsp);
+    return rsp;
   });
 }
 

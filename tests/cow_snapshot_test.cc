@@ -341,7 +341,9 @@ void RunCowVsDeepDifferential() {
         break;
     }
     ASSERT_EQ(sc.ok(), sd.ok()) << "step " << step << " op " << op;
-    if (!sc.ok()) ASSERT_EQ(sc.error(), sd.error()) << "step " << step;
+    if (!sc.ok()) {
+      ASSERT_EQ(sc.error(), sd.error()) << "step " << step;
+    }
     // The serialized full state is the canonical digest: identical bytes
     // mean identical trees, attributes, sizes, and stale-capacity
     // contents (the seeded-bug substrate).

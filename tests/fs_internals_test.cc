@@ -539,7 +539,9 @@ TEST(Permissions, NonRootIsDeniedByModeBits) {
   EXPECT_EQ(fs.Open("/mine", kWrOnly, 0).error(), Errno::kEACCES);
   auto fd = fs.Open("/mine", kRdOnly, 0);
   EXPECT_TRUE(fd.ok());
-  if (fd.ok()) EXPECT_TRUE(fs.Close(fd.value()).ok());
+  if (fd.ok()) {
+    EXPECT_TRUE(fs.Close(fd.value()).ok());
+  }
 
   // access() agrees.
   EXPECT_TRUE(fs.Access("/mine", kROk).ok());

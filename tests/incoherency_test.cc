@@ -95,7 +95,9 @@ TEST(IncoherencyTest, FlushingDoesNotSubstituteForRemount) {
   // ...which may itself scribble on the restored image — that is the
   // corruption mechanism. Restore again and mount cleanly:
   ASSERT_TRUE(disk->RestoreContents(snapshot_with_f).ok());
-  if (v.IsMounted()) ASSERT_TRUE(v.Unmount().ok());
+  if (v.IsMounted()) {
+    ASSERT_TRUE(v.Unmount().ok());
+  }
   ASSERT_TRUE(v.Mount().ok());
   EXPECT_TRUE(v.Stat("/f").ok());
   EXPECT_EQ(v.Stat("/g").error(), Errno::kENOENT);

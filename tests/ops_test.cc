@@ -166,7 +166,7 @@ TEST(StaticTouchedPathsTest, LinkFootprintIncludesBothParents) {
   const mc::ActionFootprint fp = StaticTouchedPaths(link);
   EXPECT_FALSE(fp.full);
   EXPECT_FALSE(fp.reads_only);
-  for (const std::string& path : {"/d0/f2", "/d0", "/d1/h", "/d1"}) {
+  for (const char* path : {"/d0/f2", "/d0", "/d1/h", "/d1"}) {
     EXPECT_NE(std::find(fp.paths.begin(), fp.paths.end(), path),
               fp.paths.end())
         << path;

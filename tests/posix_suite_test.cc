@@ -423,8 +423,12 @@ TEST_P(PosixSuite, ReadDirTypesAreCorrect) {
   auto entries = fs().ReadDir("/");
   ASSERT_TRUE(entries.ok());
   for (const auto& e : entries.value()) {
-    if (e.name == "d") EXPECT_EQ(e.type, FileType::kDirectory);
-    if (e.name == "f") EXPECT_EQ(e.type, FileType::kRegular);
+    if (e.name == "d") {
+      EXPECT_EQ(e.type, FileType::kDirectory);
+    }
+    if (e.name == "f") {
+      EXPECT_EQ(e.type, FileType::kRegular);
+    }
   }
 }
 
