@@ -14,9 +14,12 @@
 # leak detector is what proves a discarded snapshot's refcounted chunks
 # and blocks actually free — `scripts/asan.sh -L storage` for the
 # block-device suite, where it proves the same of a dropped device
-# snapshot's shared 4 KB blocks, or `scripts/asan.sh -L spec` for the
+# snapshot's shared 4 KB blocks, `scripts/asan.sh -L spec` for the
 # executable-spec suite, whose O(state) deep-copy snapshots and
-# export/import round-trips are pure allocation traffic.
+# export/import round-trips are pure allocation traffic, or
+# `scripts/asan.sh -L fs` for the file-system suites (POSIX suite,
+# ext2f/ext4f/xfsf internals, fsck, golden values), which drive the
+# shared namespace layer over every block-based format.
 set -euo pipefail
 
 repo_root="$(cd "$(dirname "$0")/.." && pwd)"
