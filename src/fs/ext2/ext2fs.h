@@ -13,6 +13,11 @@
 // Directories serialize their entry list into data blocks and are
 // rewritten on modification.
 //
+// The namespace operations (paths, directories, rename, links, xattrs,
+// file data over the block map) come from NamespaceFs, shared with xfsf
+// (fs/namespace_fs.h). This file holds ext2f's layout: the allocators,
+// the inode codec, the block map, the cache and the lifecycle.
+//
 // Faithfulness notes (per DESIGN.md §2):
 //  * Directory sizes are reported as a multiple of the block size — the
 //    ext2/ext4 trait behind the paper's §3.4 false positive.

@@ -18,6 +18,11 @@
 //
 // Layout (4 KB blocks): block 0 superblock; blocks 1-2 free-extent list;
 // blocks 3.. inode table (256-byte inodes); data after.
+//
+// The namespace operations (paths, directories, rename, links, xattrs,
+// file data over the extent map) come from NamespaceFs, shared with
+// ext2f/ext4f (fs/namespace_fs.h); this file holds only xfsf's layout
+// and its traits.
 #pragma once
 
 #include <vector>
