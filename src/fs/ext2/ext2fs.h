@@ -62,7 +62,6 @@ struct Ext2Options {
 struct Ext2Inode {
   static constexpr std::size_t kDirectBlocks = 12;
 
-
   FileType type = FileType::kRegular;
   Mode mode = 0;
   std::uint32_t nlink = 0;
@@ -105,9 +104,11 @@ class Ext2Fs : public NamespaceFs<Ext2Inode, Ext2Options> {
   static constexpr std::uint32_t kMagic = 0x45583246;  // "EX2F"
   static constexpr std::uint32_t kInodeDiskSize = 128;
 
+  // The NamespaceFs hooks are final: ext4f keeps ext2f's layout, and
+  // ext2f's calls among its own hooks stay direct calls.
   // ---- block cache (write-back, LRU eviction) ----
-  Result<Bytes> ReadBlock(std::uint32_t block_no) override;
-  Status WriteBlock(std::uint32_t block_no, ByteView data) override;
+  Result<Bytes> ReadBlock(std::uint32_t block_no) final;
+  Status WriteBlock(std::uint32_t block_no, ByteView data) final;
   Status FlushCache();
   void TouchBlock(std::uint32_t block_no);
   Status EvictIfNeeded();
@@ -125,32 +126,32 @@ class Ext2Fs : public NamespaceFs<Ext2Inode, Ext2Options> {
   bool ack_without_barrier_ = false;
 
   // ---- allocation ----
-  Result<std::uint32_t> AllocBlock() override;
-  Status FreeBlock(std::uint32_t block_no) override;
-  Result<InodeNum> AllocInode() override;
-  Status FreeInode(InodeNum ino) override;
+  Result<std::uint32_t> AllocBlock() final;
+  Status FreeBlock(std::uint32_t block_no) final;
+  Result<InodeNum> AllocInode() final;
+  Status FreeInode(InodeNum ino) final;
   // Frees the file's blocks, its xattr block and the inode.
-  Status DropInode(Inode& inode, InodeNum ino) override;
+  Status DropInode(Inode& inode, InodeNum ino) final;
   std::uint32_t data_region_start() const;
 
   // ---- inode I/O ----
-  Result<Inode> LoadInode(InodeNum ino) override;
-  Status StoreInode(InodeNum ino, const Inode& inode) override;
+  Result<Inode> LoadInode(InodeNum ino) final;
+  Status StoreInode(InodeNum ino, const Inode& inode) final;
 
   // ---- file block mapping: 12 direct pointers, one indirect block ----
   Result<std::uint32_t> MapBlock(const Inode& inode,
-                                 std::uint64_t index) override;
+                                 std::uint64_t index) final;
   Result<std::uint32_t> MapBlockAlloc(Inode& inode,
-                                      std::uint64_t index) override;
-  Status FreeFileBlocks(Inode& inode, std::uint64_t from_block) override;
-  std::uint64_t max_file_bytes() const override;
+                                      std::uint64_t index) final;
+  Status FreeFileBlocks(Inode& inode, std::uint64_t from_block) final;
+  std::uint64_t max_file_bytes() const final;
 
   // ---- attribute view ----
-  InodeAttr ToAttr(InodeNum ino, const Inode& inode) const override;
+  InodeAttr ToAttr(InodeNum ino, const Inode& inode) const final;
   // Data, indirect and xattr blocks.
-  std::uint64_t CountAllocatedBlocks(const Inode& inode) override;
+  std::uint64_t CountAllocatedBlocks(const Inode& inode) final;
   // Insertion order.
-  void OrderDirEntries(std::vector<DirEntry>&) const override {}
+  void OrderDirEntries(std::vector<DirEntry>&) const final {}
 
   // In-memory (mount-time) state — the part that goes stale if the device
   // is restored underneath a live mount.
