@@ -21,9 +21,12 @@
 
 #include <cstdint>
 
+#include "util/bytes.h"
 #include "util/result.h"
 
 namespace mcfs::fs {
+
+class KernelNotifier;
 
 // Opaque snapshot handle. Implementations allocate ids starting at 1;
 // kInvalidSnapshotId never names a live snapshot.
@@ -72,6 +75,25 @@ class CheckpointableFs {
   // Deduplicated bytes held by the snapshot pool (no double-counting of
   // structurally shared state).
   std::uint64_t SnapshotBytes() const { return Stats().total_bytes; }
+};
+
+// A user-space file system whose whole state lives in its daemon's
+// memory (VeriFS1, VeriFS2, SpecFs): what a process or VM snapshotter
+// captures, plus the notifier through which a rollback of that memory
+// invalidates kernel caches.
+class DaemonImage {
+ public:
+  virtual ~DaemonImage() = default;
+
+  // Wires the kernel-cache invalidation callbacks sent on restore.
+  virtual void SetNotifier(KernelNotifier* notifier) = 0;
+
+  // The full state as bytes (the daemon's memory image).
+  virtual Bytes ExportState() const = 0;
+
+  // Replaces the state with an exported image. Behaves like a restore,
+  // kernel-cache invalidation included.
+  virtual void ImportState(ByteView state) = 0;
 };
 
 }  // namespace mcfs::fs

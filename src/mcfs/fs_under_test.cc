@@ -9,8 +9,6 @@
 #include "spec/spec_fs.h"
 #include "storage/latency_disk.h"
 #include "storage/ram_disk.h"
-#include "verifs/verifs1.h"
-#include "verifs/verifs2.h"
 
 namespace mcfs::core {
 
@@ -208,6 +206,10 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
   const bool is_verifs =
       config.kind == FsKind::kVerifs1 || config.kind == FsKind::kVerifs2;
   const bool is_spec = config.kind == FsKind::kSpec;
+  // The daemon's memory image, for the notifier and the VM snapshotter;
+  // null for the kernel file systems.
+  fs::DaemonImage* const daemon =
+      dynamic_cast<fs::DaemonImage*>(fut->hosted_fs_.get());
   if (is_spec) {
     // The spec is always in-process: it models intended semantics, not a
     // deployment, so there is no daemon to put behind FUSE or NFS.
@@ -231,12 +233,7 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
     fut->inner_fs_ = fut->client_;
     fut->checkpointable_ = fut->client_.get();
     // Wire the restore-time invalidations from the daemon to the host.
-    if (auto* v1 = dynamic_cast<verifs::Verifs1*>(fut->hosted_fs_.get())) {
-      v1->SetNotifier(fut->host_.get());
-    }
-    if (auto* v2 = dynamic_cast<verifs::Verifs2*>(fut->hosted_fs_.get())) {
-      v2->SetNotifier(fut->host_.get());
-    }
+    daemon->SetNotifier(fut->host_.get());
   } else if (is_verifs) {
     fut->inner_fs_ = fut->hosted_fs_;
     fut->checkpointable_ =
@@ -293,42 +290,17 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
     // abstract-state walk reads stale attributes through them.
     fut->direct_notifier_ =
         std::make_unique<DirectVfsNotifier>(fut->vfs_.get());
-    if (auto* v1 = dynamic_cast<verifs::Verifs1*>(fut->hosted_fs_.get())) {
-      v1->SetNotifier(fut->direct_notifier_.get());
-    }
-    if (auto* v2 = dynamic_cast<verifs::Verifs2*>(fut->hosted_fs_.get())) {
-      v2->SetNotifier(fut->direct_notifier_.get());
-    }
-    if (auto* sp = dynamic_cast<spec::SpecFs*>(fut->hosted_fs_.get())) {
-      sp->SetNotifier(fut->direct_notifier_.get());
-    }
+    daemon->SetNotifier(fut->direct_notifier_.get());
   }
 
   // ---- VM snapshotter ------------------------------------------------------
   if (config.strategy == StateStrategy::kVmSnapshot) {
     fut->vm_ = std::make_unique<snapshot::VmSnapshotter>(clock);
-    if (is_spec) {
-      auto* sp = dynamic_cast<spec::SpecFs*>(fut->hosted_fs_.get());
+    if (daemon != nullptr) {
       fut->vm_->RegisterComponent(
-          "spec-oracle", [sp]() { return sp->ExportState(); },
-          [sp](ByteView image) { sp->ImportState(image); });
-    } else if (is_verifs) {
-      fs::FileSystem* hosted = fut->hosted_fs_.get();
-      fut->vm_->RegisterComponent(
-          "verifs-daemon",
-          [hosted]() {
-            if (auto* v1 = dynamic_cast<verifs::Verifs1*>(hosted)) {
-              return v1->ExportState();
-            }
-            return dynamic_cast<verifs::Verifs2*>(hosted)->ExportState();
-          },
-          [hosted](ByteView image) {
-            if (auto* v1 = dynamic_cast<verifs::Verifs1*>(hosted)) {
-              v1->ImportState(image);
-              return;
-            }
-            dynamic_cast<verifs::Verifs2*>(hosted)->ImportState(image);
-          });
+          is_spec ? "spec-oracle" : "verifs-daemon",
+          [daemon]() { return daemon->ExportState(); },
+          [daemon](ByteView image) { daemon->ImportState(image); });
     } else {
       storage::BlockDevice* dev = fut->device_.get();
       fut->vm_->RegisterComponent("disk", [dev]() {

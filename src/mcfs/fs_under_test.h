@@ -32,7 +32,8 @@
 #include "snapshot/vm.h"
 #include "storage/crashable_disk.h"
 #include "storage/mtd_device.h"
-#include "verifs/bugs.h"
+#include "verifs/verifs1.h"
+#include "verifs/verifs2.h"
 #include "vfs/vfs.h"
 
 namespace mcfs::core {

@@ -8,40 +8,22 @@ GaneshaServer::GaneshaServer(fs::FileSystemPtr exported, SimClock* clock)
                /*char_device=*/false, "tcp:0.0.0.0:2049"),
       host_(std::make_unique<fuse::FuseHost>(exported_, &channel_)),
       client_(std::make_shared<fuse::FuseClientFs>(&channel_)),
-      process_(this) {
+      process_(this),
+      daemon_(dynamic_cast<fs::DaemonImage*>(exported_.get())) {
   // Restore-time cache invalidations flow like the FUSE deployment's.
-  if (auto* v1 = dynamic_cast<verifs::Verifs1*>(exported_.get())) {
-    v1->SetNotifier(host_.get());
-  }
-  if (auto* v2 = dynamic_cast<verifs::Verifs2*>(exported_.get())) {
-    v2->SetNotifier(host_.get());
-  }
+  if (daemon_ != nullptr) daemon_->SetNotifier(host_.get());
 }
 
 Bytes GaneshaServer::Process::CaptureMemory() const {
-  if (auto* v1 =
-          dynamic_cast<verifs::Verifs1*>(server_->exported_.get())) {
-    return v1->ExportState();
-  }
-  if (auto* v2 =
-          dynamic_cast<verifs::Verifs2*>(server_->exported_.get())) {
-    return v2->ExportState();
-  }
-  return {};
+  fs::DaemonImage* daemon = server_->daemon_;
+  return daemon != nullptr ? daemon->ExportState() : Bytes{};
 }
 
 Status GaneshaServer::Process::RestoreMemory(ByteView image) {
-  if (auto* v1 =
-          dynamic_cast<verifs::Verifs1*>(server_->exported_.get())) {
-    v1->ImportState(image);
-    return Status::Ok();
-  }
-  if (auto* v2 =
-          dynamic_cast<verifs::Verifs2*>(server_->exported_.get())) {
-    v2->ImportState(image);
-    return Status::Ok();
-  }
-  return Errno::kENOTSUP;
+  fs::DaemonImage* daemon = server_->daemon_;
+  if (daemon == nullptr) return Errno::kENOTSUP;
+  daemon->ImportState(image);
+  return Status::Ok();
 }
 
 }  // namespace mcfs::nfs

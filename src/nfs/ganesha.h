@@ -15,13 +15,12 @@
 
 #include <memory>
 
+#include "fs/checkpointable.h"
 #include "fs/filesystem.h"
 #include "fuse/fuse_channel.h"
 #include "fuse/fuse_host.h"
 #include "fuse/fuse_kernel.h"
 #include "snapshot/criu.h"
-#include "verifs/verifs1.h"
-#include "verifs/verifs2.h"
 
 namespace mcfs::nfs {
 
@@ -31,8 +30,8 @@ constexpr SimClock::Nanos kNfsCrossingCost = 30'000;
 
 class GaneshaServer {
  public:
-  // `exported` must be a VeriFS-class file system (its full state lives
-  // in process memory, which is what the CRIU image captures).
+  // `exported` must be a fs::DaemonImage, such as VeriFS (its full state
+  // lives in process memory, which is what the CRIU image captures).
   GaneshaServer(fs::FileSystemPtr exported, SimClock* clock);
 
   // The NFS-client view of the export: mount it in a Vfs like any FS.
@@ -67,6 +66,7 @@ class GaneshaServer {
   std::unique_ptr<fuse::FuseHost> host_;
   std::shared_ptr<fuse::FuseClientFs> client_;
   Process process_;
+  fs::DaemonImage* daemon_;  // the exported FS's memory image, or null
 };
 
 }  // namespace mcfs::nfs

@@ -55,12 +55,16 @@ struct SpecFsOptions {
   std::uint64_t virtual_total_bytes = 8ull * 1024 * 1024;
 };
 
-class SpecFs final : public fs::FileSystem, public fs::CheckpointableFs {
+class SpecFs final : public fs::FileSystem,
+                     public fs::CheckpointableFs,
+                     public fs::DaemonImage {
  public:
   explicit SpecFs(SpecFsOptions options = {});
 
   // Restore-time cache invalidations, same contract as VeriFS (§6 bug #2).
-  void SetNotifier(fs::KernelNotifier* notifier) { notifier_ = notifier; }
+  void SetNotifier(fs::KernelNotifier* notifier) override {
+    notifier_ = notifier;
+  }
 
   // FileSystem.
   Status Mkfs() override;
@@ -110,9 +114,9 @@ class SpecFs final : public fs::FileSystem, public fs::CheckpointableFs {
   Status Discard(fs::SnapshotId id) override;
   fs::SnapshotStats Stats() const override;
 
-  // Raw state export/import for process/VM snapshotters (see Verifs2).
-  Bytes ExportState() const { return SerializeState(); }
-  void ImportState(ByteView state);
+  // DaemonImage: raw state export/import for process/VM snapshotters.
+  Bytes ExportState() const override { return SerializeState(); }
+  void ImportState(ByteView state) override;
 
  private:
   struct SpecInode {

@@ -1,25 +1,12 @@
 #include "verifs/verifs1.h"
 
 #include <algorithm>
-#include <cstring>
 
 #include "fs/path.h"
 
 namespace mcfs::verifs {
-namespace {
 
-// Canonical form of an op path ("/a//b" never occurs, but trailing
-// slashes and the like must not desynchronize the invalidation log from
-// the FS-canonical paths the legacy full walk emits).
-std::string CanonicalPath(const std::string& path) {
-  auto split = fs::SplitPath(path);
-  if (!split.ok()) return path;
-  return fs::JoinPath(split.value());
-}
-
-}  // namespace
-
-Verifs1::Verifs1(Verifs1Options options) : options_(std::move(options)) {}
+Verifs1::Verifs1(Verifs1Options options) : VerifsCore(std::move(options)) {}
 
 // ---------------------------------------------------------------------------
 // Lifecycle
@@ -39,57 +26,6 @@ Status Verifs1::Mkfs() {
   // the O(dirty) log; force them onto the full-invalidation path.
   inval_log_.Overflow();
   return Status::Ok();
-}
-
-Status Verifs1::Mount() {
-  if (mounted_) return Errno::kEBUSY;
-  if (inodes_.size() == 0) return Errno::kEINVAL;  // never formatted
-  mounted_ = true;
-  return Status::Ok();
-}
-
-Status Verifs1::Unmount() {
-  if (!mounted_) return Errno::kEINVAL;
-  // A RAM file system's state lives in the daemon, which outlives the
-  // kernel mount; only the open-handle table dies with the mount.
-  mounted_ = false;
-  open_files_.clear();
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// Resolution helpers
-
-Result<std::uint32_t> Verifs1::ResolveIndex(const std::string& path) const {
-  if (!mounted_) return Errno::kEINVAL;
-  auto split = fs::SplitPath(path);
-  if (!split.ok()) return split.error();
-  std::uint32_t index = kRootIndex;
-  for (const auto& comp : split.value()) {
-    const Inode& inode = inodes_.Get(index);
-    if (inode.type != fs::FileType::kDirectory) return Errno::kENOTDIR;
-    if (!fs::PermissionGranted(ToAttr(index, inode), options_.identity,
-                               fs::kXOk)) {
-      return Errno::kEACCES;
-    }
-    auto it = inode.children.find(comp);
-    if (it == inode.children.end()) return Errno::kENOENT;
-    index = it->second;
-  }
-  return index;
-}
-
-Result<Verifs1::ParentRef> Verifs1::ResolveParentRef(
-    const std::string& path) const {
-  auto split = fs::SplitPath(path);
-  if (!split.ok()) return split.error();
-  if (split.value().empty()) return Errno::kEINVAL;
-  auto parent = ResolveIndex(fs::ParentPath(path));
-  if (!parent.ok()) return parent.error();
-  if (inodes_.Get(parent.value()).type != fs::FileType::kDirectory) {
-    return Errno::kENOTDIR;
-  }
-  return ParentRef{parent.value(), split.value().back()};
 }
 
 Result<std::uint32_t> Verifs1::AllocInode() {
@@ -151,12 +87,6 @@ void Verifs1::SetFileSize(Inode& inode, std::uint64_t new_size,
 
 // ---------------------------------------------------------------------------
 // Namespace operations
-
-Result<fs::InodeAttr> Verifs1::GetAttr(const std::string& path) {
-  auto index = ResolveIndex(path);
-  if (!index.ok()) return index.error();
-  return ToAttr(index.value(), inodes_.Get(index.value()));
-}
 
 Status Verifs1::Mkdir(const std::string& path, fs::Mode mode) {
   auto parent = ResolveParentRef(path);
@@ -358,28 +288,6 @@ Result<fs::FileHandle> Verifs1::Open(const std::string& path,
   return fh;
 }
 
-Status Verifs1::Close(fs::FileHandle fh) {
-  if (!mounted_) return Errno::kEINVAL;
-  return open_files_.erase(fh) == 1 ? Status::Ok() : Status(Errno::kEBADF);
-}
-
-Result<Bytes> Verifs1::Read(fs::FileHandle fh, std::uint64_t offset,
-                            std::uint64_t size) {
-  if (!mounted_) return Errno::kEINVAL;
-  auto it = open_files_.find(fh);
-  if (it == open_files_.end()) return Errno::kEBADF;
-  if ((it->second.flags & fs::kAccessModeMask) == fs::kWrOnly) {
-    return Errno::kEBADF;
-  }
-  Inode& inode = inodes_.Mut(it->second.ino_index);
-  if (inode.type == fs::FileType::kDirectory) return Errno::kEISDIR;
-  inode.atime_ns = NowNs();
-  LogInode(it->second.ino_index);
-  if (offset >= inode.size) return Bytes{};
-  const std::uint64_t n = std::min(size, inode.size - offset);
-  return inode.buf.ReadBytes(offset, n);
-}
-
 Result<std::uint64_t> Verifs1::Write(fs::FileHandle fh, std::uint64_t offset,
                                      ByteView data) {
   if (!mounted_) return Errno::kEINVAL;
@@ -432,11 +340,6 @@ Status Verifs1::Truncate(const std::string& path, std::uint64_t size) {
   return Status::Ok();
 }
 
-Status Verifs1::Fsync(fs::FileHandle fh) {
-  if (!mounted_) return Errno::kEINVAL;
-  return open_files_.contains(fh) ? Status::Ok() : Status(Errno::kEBADF);
-}
-
 // ---------------------------------------------------------------------------
 // Attributes
 
@@ -456,19 +359,6 @@ Status Verifs1::Chmod(const std::string& path, fs::Mode mode) {
                                              (inode.mode & 0070))
                      : static_cast<fs::Mode>(mode & fs::kModeMask);
   }
-  inode.ctime_ns = NowNs();
-  LogInode(index.value());
-  return Status::Ok();
-}
-
-Status Verifs1::Chown(const std::string& path, std::uint32_t uid,
-                      std::uint32_t gid) {
-  auto index = ResolveIndex(path);
-  if (!index.ok()) return index.error();
-  if (!options_.identity.IsRoot()) return Errno::kEPERM;
-  Inode& inode = inodes_.Mut(index.value());
-  inode.uid = uid;
-  inode.gid = gid;
   inode.ctime_ns = NowNs();
   LogInode(index.value());
   return Status::Ok();
@@ -511,7 +401,7 @@ bool Verifs1::Supports(fs::FsFeature feature) const {
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / restore (the paper's proposal)
+// VerifsCore hooks: byte format and the restore mutant
 
 Bytes Verifs1::SerializeState() const {
   ByteWriter w;
@@ -590,7 +480,8 @@ std::string Verifs1::PathOfIndex(std::uint32_t index) const {
   return fs::JoinPath(components);
 }
 
-void Verifs1::DropOneInodeAfterRestore() {
+void Verifs1::AfterRestore() {
+  if (!options_.bugs.restore_skips_one_inode) return;
   for (std::uint32_t i = inodes_.size(); i > 1;) {
     --i;
     if (!inodes_.Get(i).used) continue;
@@ -607,174 +498,13 @@ void Verifs1::DropOneInodeAfterRestore() {
       }
     }
     inodes_.Mut(i) = Inode{};
-    // The vanished inode is a post-restore mutation like any other: log
-    // it so forward restores and this restore's own invalidation see it.
+    // Logged like any mutation, but on the O(dirty) path Restore has
+    // already taken its invalidation tail: that restore never
+    // invalidates the dropped inode, and with no later snapshot live
+    // the log rewind discards these records again.
     LogEntry(path, i);
     LogInode(parent_index);
     return;
-  }
-}
-
-void Verifs1::CollectPathsRec(std::uint32_t index, const std::string& prefix,
-                              std::vector<std::string>* out) const {
-  const Inode& inode = inodes_.Get(index);
-  for (const auto& [name, child] : inode.children) {
-    const std::string path = prefix == "/" ? "/" + name : prefix + "/" + name;
-    out->push_back(path);
-    if (inodes_.Get(child).type == fs::FileType::kDirectory) {
-      CollectPathsRec(child, path, out);
-    }
-  }
-}
-
-std::vector<std::string> Verifs1::CollectAllPaths() const {
-  std::vector<std::string> out;
-  if (inodes_.size() != 0) CollectPathsRec(kRootIndex, "/", &out);
-  return out;
-}
-
-std::vector<fs::InodeNum> Verifs1::CollectUsedInos() const {
-  std::vector<fs::InodeNum> inos;
-  for (std::uint32_t i = 0; i < inodes_.size(); ++i) {
-    if (inodes_.Get(i).used) inos.push_back(static_cast<fs::InodeNum>(i + 1));
-  }
-  return inos;
-}
-
-void Verifs1::InvalidateKernelCaches(
-    const std::vector<std::string>& extra_paths,
-    const std::vector<fs::InodeNum>& extra_inos) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths = CollectAllPaths();
-  paths.insert(paths.end(), extra_paths.begin(), extra_paths.end());
-  std::vector<fs::InodeNum> inos = CollectUsedInos();
-  inos.insert(inos.end(), extra_inos.begin(), extra_inos.end());
-  fs::NotifyInvalidations(*notifier_, std::move(paths), std::move(inos));
-}
-
-void Verifs1::EmitInvalRecords(const std::vector<InvalRecord>& records) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths;
-  std::vector<fs::InodeNum> inos;
-  for (const InvalRecord& rec : records) {
-    if (!rec.path.empty()) paths.push_back(rec.path);
-    if (rec.ino != fs::kInvalidInode) inos.push_back(rec.ino);
-  }
-  fs::NotifyInvalidations(*notifier_, std::move(paths), std::move(inos));
-}
-
-void Verifs1::CompactInvalLog() {
-  if (inval_log_.record_count() <= kMaxInvalRecords) return;
-  std::uint64_t min_pos = inval_log_.End();
-  for (const auto& [id, snap] : pool_.entries()) {
-    if (!snap.deep) min_pos = std::min(min_pos, snap.inval_pos);
-  }
-  inval_log_.TrimBelow(min_pos);
-  // Still over the cap: some snapshot is ancient. Overflow and let its
-  // eventual restore take the full-invalidation path.
-  if (inval_log_.record_count() > kMaxInvalRecords) inval_log_.Overflow();
-}
-
-Result<fs::SnapshotId> Verifs1::Checkpoint() {
-  if (!mounted_) return Errno::kEINVAL;
-  CompactInvalLog();
-  // Lock, capture, unlock (paper §5). Single-threaded here, so "lock"
-  // is implicit. COW capture is O(#chunks) pointer copies.
-  Snapshot snap;
-  if (options_.cow_snapshots) {
-    snap.root = inodes_.Snapshot();
-    snap.op_counter = op_counter_;
-    snap.inval_pos = inval_log_.End();
-  } else {
-    snap.deep = true;
-    snap.deep_image = SerializeState();
-  }
-  return pool_.Add(std::move(snap));
-}
-
-Status Verifs1::Restore(fs::SnapshotId id) {
-  if (!mounted_) return Errno::kEINVAL;
-  const Snapshot* snap = pool_.Find(id);
-  if (snap == nullptr) return Errno::kENOENT;
-
-  if (snap->deep || !inval_log_.Covers(snap->inval_pos)) {
-    // Full-state path: deep-copy snapshots, or COW snapshots whose log
-    // prefix was trimmed/overflowed. Remember the namespace that is
-    // about to disappear: its entries and inodes must be invalidated in
-    // the kernel too.
-    std::vector<std::string> pre_paths = CollectAllPaths();
-    std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-    if (snap->deep) {
-      DeserializeState(snap->deep_image);
-    } else {
-      inodes_.Restore(snap->root);
-      op_counter_ = snap->op_counter;
-    }
-    if (options_.bugs.restore_skips_one_inode) DropOneInodeAfterRestore();
-    open_files_.clear();  // handles do not survive a state rollback
-    // This rollback is untracked, so positions before it can no longer
-    // bound their dirty set; every older snapshot falls back here too.
-    inval_log_.Overflow();
-    if (!options_.bugs.skip_cache_invalidation_on_restore) {
-      // The fix for historical bug #2: notify the kernel so its dentry
-      // and inode caches drop entries from the abandoned timeline.
-      InvalidateKernelCaches(pre_paths, pre_inos);
-    }
-    return Status::Ok();
-  }
-
-  // O(dirty) path: the records written since the snapshot was taken are
-  // exactly where the abandoned timeline and the restored one differ.
-  std::vector<InvalRecord> tail = inval_log_.Since(snap->inval_pos);
-  DedupInvalRecords(tail);
-  inodes_.Restore(snap->root);
-  op_counter_ = snap->op_counter;
-  open_files_.clear();
-  if (options_.bugs.restore_skips_one_inode) DropOneInodeAfterRestore();
-  // Re-log the undone mutations: a later restore FORWARD to a snapshot
-  // taken on the abandoned branch must still invalidate them. With no
-  // live snapshot positioned after this one, no such forward restore
-  // can happen, and skipping the re-append keeps the log flat across
-  // a backtracking walk's op/restore/op/restore bouncing.
-  if (AnyCowSnapshotAfter(pool_.entries(), snap->inval_pos)) {
-    inval_log_.ReAppend(tail);
-    CompactInvalLog();
-  } else {
-    // No one can restore forward past this position: rewind the log to
-    // it so repeated bounces off one snapshot stay O(dirty).
-    inval_log_.TruncateTo(snap->inval_pos);
-  }
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    EmitInvalRecords(tail);
-  }
-  return Status::Ok();
-}
-
-Status Verifs1::Discard(fs::SnapshotId id) {
-  Status s = pool_.Discard(id);
-  if (s.ok()) CompactInvalLog();
-  return s;
-}
-
-fs::SnapshotStats Verifs1::Stats() const {
-  return ComputeSnapshotStats<Inode>(
-      pool_.entries(), inodes_.Snapshot(), [](const Inode& inode) {
-        std::uint64_t extra = 0;
-        for (const auto& [name, child] : inode.children) {
-          extra += name.size() + 32;  // map-node overhead estimate
-        }
-        return extra;
-      });
-}
-
-void Verifs1::ImportState(ByteView state) {
-  std::vector<std::string> pre_paths = CollectAllPaths();
-  std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-  DeserializeState(state);
-  open_files_.clear();
-  inval_log_.Overflow();  // untracked rollback, same as a deep restore
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    InvalidateKernelCaches(pre_paths, pre_inos);
   }
 }
 

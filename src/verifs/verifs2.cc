@@ -2,27 +2,15 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 
 #include "fs/path.h"
 
 namespace mcfs::verifs {
-namespace {
 
-// Canonical form of an op path, matching what the legacy full
-// invalidation walk emits (see verifs1.cc).
-std::string CanonicalPath(const std::string& path) {
-  auto split = fs::SplitPath(path);
-  if (!split.ok()) return path;
-  return fs::JoinPath(split.value());
-}
-
-}  // namespace
-
-Verifs2::Verifs2(Verifs2Options options) : options_(std::move(options)) {}
+Verifs2::Verifs2(Verifs2Options options) : VerifsCore(std::move(options)) {}
 
 // ---------------------------------------------------------------------------
-// Lifecycle
+// Lifecycle and helpers
 
 Status Verifs2::Mkfs() {
   if (mounted_) return Errno::kEBUSY;
@@ -38,55 +26,6 @@ Status Verifs2::Mkfs() {
   // Snapshots taken before the reformat fall back to full invalidation.
   inval_log_.Overflow();
   return Status::Ok();
-}
-
-Status Verifs2::Mount() {
-  if (mounted_) return Errno::kEBUSY;
-  if (inodes_.size() == 0) return Errno::kEINVAL;
-  mounted_ = true;
-  return Status::Ok();
-}
-
-Status Verifs2::Unmount() {
-  if (!mounted_) return Errno::kEINVAL;
-  mounted_ = false;
-  open_files_.clear();
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
-// Helpers
-
-Result<std::uint32_t> Verifs2::ResolveIndex(const std::string& path) const {
-  if (!mounted_) return Errno::kEINVAL;
-  auto split = fs::SplitPath(path);
-  if (!split.ok()) return split.error();
-  std::uint32_t index = kRootIndex;
-  for (const auto& comp : split.value()) {
-    const Inode& inode = inodes_.Get(index);
-    if (inode.type != fs::FileType::kDirectory) return Errno::kENOTDIR;
-    if (!fs::PermissionGranted(ToAttr(index, inode), options_.identity,
-                               fs::kXOk)) {
-      return Errno::kEACCES;
-    }
-    auto it = inode.children.find(comp);
-    if (it == inode.children.end()) return Errno::kENOENT;
-    index = it->second;
-  }
-  return index;
-}
-
-Result<Verifs2::ParentRef> Verifs2::ResolveParentRef(
-    const std::string& path) const {
-  auto split = fs::SplitPath(path);
-  if (!split.ok()) return split.error();
-  if (split.value().empty()) return Errno::kEINVAL;
-  auto parent = ResolveIndex(fs::ParentPath(path));
-  if (!parent.ok()) return parent.error();
-  if (inodes_.Get(parent.value()).type != fs::FileType::kDirectory) {
-    return Errno::kENOTDIR;
-  }
-  return ParentRef{parent.value(), split.value().back()};
 }
 
 std::uint32_t Verifs2::AllocInode() {
@@ -189,12 +128,6 @@ Result<std::uint32_t> Verifs2::CreateChild(const ParentRef& ref,
 
 // ---------------------------------------------------------------------------
 // Namespace operations
-
-Result<fs::InodeAttr> Verifs2::GetAttr(const std::string& path) {
-  auto index = ResolveIndex(path);
-  if (!index.ok()) return index.error();
-  return ToAttr(index.value(), inodes_.Get(index.value()));
-}
 
 Status Verifs2::Mkdir(const std::string& path, fs::Mode mode) {
   auto parent = ResolveParentRef(path);
@@ -347,28 +280,6 @@ Result<fs::FileHandle> Verifs2::Open(const std::string& path,
   return fh;
 }
 
-Status Verifs2::Close(fs::FileHandle fh) {
-  if (!mounted_) return Errno::kEINVAL;
-  return open_files_.erase(fh) == 1 ? Status::Ok() : Status(Errno::kEBADF);
-}
-
-Result<Bytes> Verifs2::Read(fs::FileHandle fh, std::uint64_t offset,
-                            std::uint64_t size) {
-  if (!mounted_) return Errno::kEINVAL;
-  auto it = open_files_.find(fh);
-  if (it == open_files_.end()) return Errno::kEBADF;
-  if ((it->second.flags & fs::kAccessModeMask) == fs::kWrOnly) {
-    return Errno::kEBADF;
-  }
-  Inode& inode = inodes_.Mut(it->second.ino_index);
-  if (inode.type == fs::FileType::kDirectory) return Errno::kEISDIR;
-  inode.atime_ns = NowNs();
-  LogInode(it->second.ino_index);
-  if (offset >= inode.size) return Bytes{};
-  const std::uint64_t n = std::min(size, inode.size - offset);
-  return inode.buf.ReadBytes(offset, n);
-}
-
 Result<std::uint64_t> Verifs2::Write(fs::FileHandle fh, std::uint64_t offset,
                                      ByteView data) {
   if (!mounted_) return Errno::kEINVAL;
@@ -465,11 +376,6 @@ Status Verifs2::Truncate(const std::string& path, std::uint64_t size) {
   return Status::Ok();
 }
 
-Status Verifs2::Fsync(fs::FileHandle fh) {
-  if (!mounted_) return Errno::kEINVAL;
-  return open_files_.contains(fh) ? Status::Ok() : Status(Errno::kEBADF);
-}
-
 // ---------------------------------------------------------------------------
 // Attributes
 
@@ -486,19 +392,6 @@ Status Verifs2::Chmod(const std::string& path, fs::Mode mode) {
                    ? static_cast<fs::Mode>((mode & 0707) |
                                            (inode.mode & 0070))
                    : static_cast<fs::Mode>(mode & fs::kModeMask);
-  inode.ctime_ns = NowNs();
-  LogInode(index.value());
-  return Status::Ok();
-}
-
-Status Verifs2::Chown(const std::string& path, std::uint32_t uid,
-                      std::uint32_t gid) {
-  auto index = ResolveIndex(path);
-  if (!index.ok()) return index.error();
-  if (!options_.identity.IsRoot()) return Errno::kEPERM;
-  Inode& inode = inodes_.Mut(index.value());
-  inode.uid = uid;
-  inode.gid = gid;
   inode.ctime_ns = NowNs();
   LogInode(index.value());
   return Status::Ok();
@@ -728,7 +621,7 @@ Status Verifs2::RemoveXattr(const std::string& path,
 }
 
 // ---------------------------------------------------------------------------
-// Checkpoint / restore
+// VerifsCore hooks: byte format and pool accounting
 
 Bytes Verifs2::SerializeState() const {
   ByteWriter w;
@@ -794,158 +687,12 @@ void Verifs2::DeserializeState(ByteView state) {
   op_counter_ = r.GetU64();
 }
 
-void Verifs2::CollectPathsRec(std::uint32_t index, const std::string& prefix,
-                              std::vector<std::string>* out) const {
-  const Inode& inode = inodes_.Get(index);
-  for (const auto& [name, child] : inode.children) {
-    const std::string path = prefix == "/" ? "/" + name : prefix + "/" + name;
-    out->push_back(path);
-    if (inodes_.Get(child).type == fs::FileType::kDirectory) {
-      CollectPathsRec(child, path, out);
-    }
+std::uint64_t Verifs2::ExtraInodeBytes(const Inode& inode) const {
+  std::uint64_t extra = 0;
+  for (const auto& [name, value] : inode.xattrs) {
+    extra += name.size() + value.size() + 32;
   }
-}
-
-std::vector<std::string> Verifs2::CollectAllPaths() const {
-  std::vector<std::string> out;
-  if (inodes_.size() != 0) CollectPathsRec(kRootIndex, "/", &out);
-  return out;
-}
-
-std::vector<fs::InodeNum> Verifs2::CollectUsedInos() const {
-  std::vector<fs::InodeNum> inos;
-  for (std::uint32_t i = 0; i < inodes_.size(); ++i) {
-    if (inodes_.Get(i).used) inos.push_back(static_cast<fs::InodeNum>(i + 1));
-  }
-  return inos;
-}
-
-void Verifs2::InvalidateKernelCaches(
-    const std::vector<std::string>& extra_paths,
-    const std::vector<fs::InodeNum>& extra_inos) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths = CollectAllPaths();
-  paths.insert(paths.end(), extra_paths.begin(), extra_paths.end());
-  std::vector<fs::InodeNum> inos = CollectUsedInos();
-  inos.insert(inos.end(), extra_inos.begin(), extra_inos.end());
-  fs::NotifyInvalidations(*notifier_, std::move(paths), std::move(inos));
-}
-
-void Verifs2::EmitInvalRecords(const std::vector<InvalRecord>& records) {
-  if (notifier_ == nullptr) return;
-  std::vector<std::string> paths;
-  std::vector<fs::InodeNum> inos;
-  for (const InvalRecord& rec : records) {
-    if (!rec.path.empty()) paths.push_back(rec.path);
-    if (rec.ino != fs::kInvalidInode) inos.push_back(rec.ino);
-  }
-  fs::NotifyInvalidations(*notifier_, std::move(paths), std::move(inos));
-}
-
-void Verifs2::CompactInvalLog() {
-  if (inval_log_.record_count() <= kMaxInvalRecords) return;
-  std::uint64_t min_pos = inval_log_.End();
-  for (const auto& [id, snap] : pool_.entries()) {
-    if (!snap.deep) min_pos = std::min(min_pos, snap.inval_pos);
-  }
-  inval_log_.TrimBelow(min_pos);
-  // Still over the cap: some snapshot is ancient. Overflow and let its
-  // eventual restore take the full-invalidation path.
-  if (inval_log_.record_count() > kMaxInvalRecords) inval_log_.Overflow();
-}
-
-Result<fs::SnapshotId> Verifs2::Checkpoint() {
-  if (!mounted_) return Errno::kEINVAL;
-  CompactInvalLog();
-  Snapshot snap;
-  if (options_.cow_snapshots) {
-    snap.root = inodes_.Snapshot();
-    snap.op_counter = op_counter_;
-    snap.inval_pos = inval_log_.End();
-  } else {
-    snap.deep = true;
-    snap.deep_image = SerializeState();
-  }
-  return pool_.Add(std::move(snap));
-}
-
-Status Verifs2::Restore(fs::SnapshotId id) {
-  if (!mounted_) return Errno::kEINVAL;
-  const Snapshot* snap = pool_.Find(id);
-  if (snap == nullptr) return Errno::kENOENT;
-
-  if (snap->deep || !inval_log_.Covers(snap->inval_pos)) {
-    // Full-state path: deep-copy snapshots, or COW snapshots whose log
-    // prefix was trimmed/overflowed (see verifs1.cc).
-    std::vector<std::string> pre_paths = CollectAllPaths();
-    std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-    if (snap->deep) {
-      DeserializeState(snap->deep_image);
-    } else {
-      inodes_.Restore(snap->root);
-      op_counter_ = snap->op_counter;
-    }
-    open_files_.clear();
-    inval_log_.Overflow();
-    if (!options_.bugs.skip_cache_invalidation_on_restore) {
-      InvalidateKernelCaches(pre_paths, pre_inos);
-    }
-    return Status::Ok();
-  }
-
-  // O(dirty) path: invalidate exactly the deduped records written since
-  // the snapshot. The re-append keeps forward restores sound but is
-  // only needed while a later-positioned snapshot is live — skipping it
-  // otherwise keeps the log flat across backtracking walks (see
-  // verifs1.cc).
-  std::vector<InvalRecord> tail = inval_log_.Since(snap->inval_pos);
-  DedupInvalRecords(tail);
-  inodes_.Restore(snap->root);
-  op_counter_ = snap->op_counter;
-  open_files_.clear();
-  if (AnyCowSnapshotAfter(pool_.entries(), snap->inval_pos)) {
-    inval_log_.ReAppend(tail);
-    CompactInvalLog();
-  } else {
-    // No one can restore forward past this position: rewind the log to
-    // it so repeated bounces off one snapshot stay O(dirty).
-    inval_log_.TruncateTo(snap->inval_pos);
-  }
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    EmitInvalRecords(tail);
-  }
-  return Status::Ok();
-}
-
-Status Verifs2::Discard(fs::SnapshotId id) {
-  Status s = pool_.Discard(id);
-  if (s.ok()) CompactInvalLog();
-  return s;
-}
-
-fs::SnapshotStats Verifs2::Stats() const {
-  return ComputeSnapshotStats<Inode>(
-      pool_.entries(), inodes_.Snapshot(), [](const Inode& inode) {
-        std::uint64_t extra = 0;
-        for (const auto& [name, child] : inode.children) {
-          extra += name.size() + 32;  // map-node overhead estimate
-        }
-        for (const auto& [name, value] : inode.xattrs) {
-          extra += name.size() + value.size() + 32;
-        }
-        return extra;
-      });
-}
-
-void Verifs2::ImportState(ByteView state) {
-  std::vector<std::string> pre_paths = CollectAllPaths();
-  std::vector<fs::InodeNum> pre_inos = CollectUsedInos();
-  DeserializeState(state);
-  open_files_.clear();
-  inval_log_.Overflow();  // untracked rollback, same as a deep restore
-  if (!options_.bugs.skip_cache_invalidation_on_restore) {
-    InvalidateKernelCaches(pre_paths, pre_inos);
-  }
+  return extra;
 }
 
 }  // namespace mcfs::verifs
