@@ -23,8 +23,6 @@ Result<std::vector<std::string>> SplitPath(std::string_view path) {
   return components;
 }
 
-bool IsValidPath(std::string_view path) { return SplitPath(path).ok(); }
-
 std::string JoinPath(const std::vector<std::string>& components) {
   if (components.empty()) return "/";
   std::string out;

@@ -25,9 +25,6 @@ constexpr std::size_t kPathMax = 4096;
 // NUL. "/" yields an empty vector.
 Result<std::vector<std::string>> SplitPath(std::string_view path);
 
-// True if SplitPath would succeed.
-bool IsValidPath(std::string_view path);
-
 // Joins components back into an absolute path ("/" for none).
 std::string JoinPath(const std::vector<std::string>& components);
 

@@ -327,11 +327,6 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
   return fut;
 }
 
-bool FsUnderTest::UsesDeviceSnapshots() const {
-  return config_.strategy == StateStrategy::kRemountPerOp ||
-         config_.strategy == StateStrategy::kMountOnce;
-}
-
 Status FsUnderTest::EnsureMounted() {
   if (inner_fs_->IsMounted()) return Status::Ok();
   ++remounts_;

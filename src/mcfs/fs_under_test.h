@@ -147,7 +147,6 @@ class FsUnderTest {
 
   Status SaveViaDevice(std::uint64_t key);
   Status RestoreViaDevice(std::uint64_t key);
-  bool UsesDeviceSnapshots() const;
   bool RemountsPerOp() const {
     return config_.strategy == StateStrategy::kRemountPerOp;
   }

@@ -377,8 +377,8 @@ Status SyscallEngine::Apply(const Operation& op) {
     }
   } else {
     // The operation ran but its effects were never folded into the
-    // caches; if exploration continues past this violation
-    // (ClearViolation), the next digest must come from a fresh walk.
+    // caches, so any digest taken after this step must come from a
+    // fresh walk.
     for (IncrementalAbstraction& inc : inc_) inc.Invalidate();
   }
 

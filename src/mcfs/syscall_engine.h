@@ -121,10 +121,6 @@ class SyscallEngine final : public mc::System {
     return footprints_.at(action);
   }
 
-  // Clears a pending violation so exploration can continue past a known
-  // discrepancy (used when cataloguing multiple differences).
-  void ClearViolation() { violation_.reset(); }
-
   const EngineCounters& counters() const { return counters_; }
   // Operations and snapshots in execution order; each record carries
   // members 0 and 1 (Mcfs::Replay and shrinking are two-member).

@@ -1,12 +1,9 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 namespace mcfs {
 namespace {
-
-std::atomic<LogLevel> g_level{LogLevel::kWarn};
 
 constexpr const char* LevelTag(LogLevel level) {
   switch (level) {
@@ -20,12 +17,8 @@ constexpr const char* LevelTag(LogLevel level) {
 
 }  // namespace
 
-void SetLogLevel(LogLevel level) { g_level.store(level); }
-
-LogLevel GetLogLevel() { return g_level.load(); }
-
 void LogMessage(LogLevel level, std::string_view msg) {
-  if (level < g_level.load() || msg.empty()) return;
+  if (level < kLogThreshold || msg.empty()) return;
   std::fprintf(stderr, "[mcfs %s] %.*s\n", LevelTag(level),
                static_cast<int>(msg.size()), msg.data());
 }

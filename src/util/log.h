@@ -13,9 +13,8 @@ namespace mcfs {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
 
-// Process-wide minimum level; messages below it are discarded.
-void SetLogLevel(LogLevel level);
-LogLevel GetLogLevel();
+// Minimum level; messages below it are discarded.
+inline constexpr LogLevel kLogThreshold = LogLevel::kWarn;
 
 // Emits a formatted line to stderr if `level` passes the threshold.
 void LogMessage(LogLevel level, std::string_view msg);
@@ -32,7 +31,7 @@ class LogLine {
 
   template <typename T>
   LogLine& operator<<(const T& v) {
-    if (level_ >= GetLogLevel()) stream_ << v;
+    if (level_ >= kLogThreshold) stream_ << v;
     return *this;
   }
 

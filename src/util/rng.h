@@ -75,10 +75,6 @@ class Rng {
     return Below(den) < num;
   }
 
-  double NextDouble() {  // in [0,1)
-    return static_cast<double>(Next() >> 11) * 0x1.0p-53;
-  }
-
  private:
   static constexpr std::uint64_t Rotl(std::uint64_t x, int k) {
     return (x << k) | (x >> (64 - k));
