@@ -1,12 +1,13 @@
-// Handle-allocating snapshot pool shared by VeriFS1/VeriFS2, plus the
-// deduplicating byte accounting over its structurally-shared entries.
+// The snapshot pool VerifsCore (src/verifs/verifs_core.h) keeps for
+// VeriFS1 and VeriFS2, plus the deduplicating byte accounting over its
+// structurally-shared entries.
 //
-// Before the COW refactor this pool stored one serialized full-state
-// image per caller-chosen key and ioctl_RESTORE *took* (consumed) the
-// entry. Entries are now owned by fs::SnapshotId handles, restore is
-// non-consuming, and a COW entry is just a root pointer — the bytes it
-// "holds" are whatever chunks/blocks the live state has since diverged
-// from, which is what ComputeSnapshotStats measures.
+// Entries are owned by fs::SnapshotId handles and restore is
+// non-consuming (the paper's keyed ioctl_RESTORE consumed its entry). A
+// COW entry is a root pointer plus its op counter and InvalLog
+// position; the bytes it "holds" are whatever chunks/blocks the live
+// state has since diverged from, which is what ComputeSnapshotStats
+// measures. A deep-copy entry holds a serialized full-state image.
 #pragma once
 
 #include <cstdint>

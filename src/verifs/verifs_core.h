@@ -11,11 +11,12 @@
 //     invalidates the namespace before and after), Discard, Stats, and
 //     ExportState/ImportState for process and VM snapshotters.
 //
-// Each family supplies its on-disk-free layout through the protected
-// hooks: its byte format (SerializeState/DeserializeState), its stat
-// view (ToAttr, where nlink and size and their mutants live), the heap
-// bytes Stats() charges beyond directory entries (xattrs), and a step
-// run right after a restore swaps the state back in (VeriFS1's
+// Each family keeps its inode, options, Mkfs, StatFs, Supports and every
+// operation one of its mutants lives in, and fills the protected hooks:
+// its byte format (SerializeState/DeserializeState), its stat view
+// (ToAttr, where nlink and size and their mutants live), the heap bytes
+// Stats() charges beyond directory entries (xattrs), and a step run
+// right after a restore swaps the state back in (VeriFS1's
 // restore_skips_one_inode mutant). The core reads only identity,
 // cow_snapshots and skip_cache_invalidation_on_restore of the family's
 // options, and never asks which family it serves.
