@@ -1,13 +1,15 @@
 // Golden-value pin for the kernel-style file systems (ext2f, ext4f,
-// xfsf): a seeded sequence of Default-pool operations, with an unmount
-// and mount every 50 operations, must reproduce exactly the errnos,
-// device traffic, simulated time, on-disk image and abstract state that
-// were recorded when the values below were computed. Any refactor of the
-// namespace code shared by these file systems has to leave every one of
-// them unchanged: same error codes, the same device reads and writes,
-// the same SimClock charges and byte-identical images.
+// xfsf, jffs2f): a seeded sequence of Default-pool operations, with an
+// unmount and mount every 50 operations, must reproduce exactly the
+// errnos, device traffic, simulated time, on-disk image and abstract
+// state that were recorded when the values below were computed. Any
+// refactor of the namespace code shared by ext2f, ext4f and xfsf, or of
+// jffs2f's index and log replay, has to leave every one of them
+// unchanged: same error codes, the same device reads and writes, the
+// same SimClock charges and byte-identical images.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -15,10 +17,12 @@
 
 #include "fs/ext2/ext2fs.h"
 #include "fs/ext4/ext4fs.h"
+#include "fs/jffs2/jffs2fs.h"
 #include "fs/xfs/xfsfs.h"
 #include "mcfs/abstraction.h"
 #include "mcfs/ops.h"
 #include "mcfs/trace.h"
+#include "storage/mtd_device.h"
 #include "storage/ram_disk.h"
 #include "util/md5.h"
 #include "util/rng.h"
@@ -87,6 +91,42 @@ void HashOutcome(Md5& md5, const OpOutcome& outcome) {
   md5.Update(outcome.link_target);
 }
 
+// Runs kOps seeded Default-pool operations (with fsync) on `v`, hashing
+// each errno and outcome, and calls `remount(i)` after every
+// kRemountEvery-th operation. The sequence must reach every operation
+// family the file systems implement.
+void RunSequence(vfs::Vfs& v, const fs::FileSystem& filesystem, Md5* errnos,
+                 Md5* outcomes, const std::function<void(int)>& remount) {
+  ParameterPool pool = ParameterPool::Default();
+  pool.include_fsync_ops = true;
+  std::vector<fs::FsFeature> features;
+  for (fs::FsFeature f :
+       {fs::FsFeature::kRename, fs::FsFeature::kHardLink,
+        fs::FsFeature::kSymlink, fs::FsFeature::kAccess,
+        fs::FsFeature::kXattr}) {
+    if (filesystem.Supports(f)) features.push_back(f);
+  }
+  const std::vector<Operation> actions = pool.EnumerateAll(features);
+  ASSERT_FALSE(actions.empty());
+
+  Rng rng(kSeed);
+  std::map<OpKind, int> succeeded;
+  for (int i = 1; i <= kOps; ++i) {
+    const Operation& op = actions[rng.Below(actions.size())];
+    const OpOutcome outcome = ExecuteOp(v, op);
+    errnos->UpdateU64(static_cast<std::uint64_t>(outcome.error));
+    HashOutcome(*outcomes, outcome);
+    if (outcome.error == Errno::kOk) ++succeeded[op.kind];
+    if (i % kRemountEvery == 0) remount(i);
+  }
+  for (OpKind kind : {OpKind::kRename, OpKind::kLink, OpKind::kSymlink,
+                      OpKind::kSetXattr, OpKind::kRemoveXattr,
+                      OpKind::kTruncate, OpKind::kFsync, OpKind::kWriteFile,
+                      OpKind::kRmdir, OpKind::kUnlink, OpKind::kReadLink}) {
+    EXPECT_GT(succeeded[kind], 0) << OpKindName(kind);
+  }
+}
+
 void PrintTo(const Golden& golden, std::ostream* os) { *os << golden.name; }
 
 class FsGoldenTest : public ::testing::TestWithParam<Golden> {};
@@ -103,40 +143,12 @@ TEST_P(FsGoldenTest, SeededSequenceMatchesPinnedValues) {
   ASSERT_TRUE(filesystem->Mkfs().ok());
   ASSERT_TRUE(v.Mount().ok());
 
-  ParameterPool pool = ParameterPool::Default();
-  pool.include_fsync_ops = true;
-  std::vector<fs::FsFeature> features;
-  for (fs::FsFeature f :
-       {fs::FsFeature::kRename, fs::FsFeature::kHardLink,
-        fs::FsFeature::kSymlink, fs::FsFeature::kAccess,
-        fs::FsFeature::kXattr}) {
-    if (filesystem->Supports(f)) features.push_back(f);
-  }
-  const std::vector<Operation> actions = pool.EnumerateAll(features);
-  ASSERT_FALSE(actions.empty());
-
-  Rng rng(kSeed);
   Md5 errnos;
   Md5 outcomes;
-  std::map<OpKind, int> succeeded;
-  for (int i = 1; i <= kOps; ++i) {
-    const Operation& op = actions[rng.Below(actions.size())];
-    const OpOutcome outcome = ExecuteOp(v, op);
-    errnos.UpdateU64(static_cast<std::uint64_t>(outcome.error));
-    HashOutcome(outcomes, outcome);
-    if (outcome.error == Errno::kOk) ++succeeded[op.kind];
-    if (i % kRemountEvery == 0) {
-      ASSERT_TRUE(v.Unmount().ok()) << "op " << i;
-      ASSERT_TRUE(v.Mount().ok()) << "op " << i;
-    }
-  }
-  // The sequence reaches every operation family the refactor shares.
-  for (OpKind kind : {OpKind::kRename, OpKind::kLink, OpKind::kSymlink,
-                      OpKind::kSetXattr, OpKind::kRemoveXattr,
-                      OpKind::kTruncate, OpKind::kFsync, OpKind::kWriteFile,
-                      OpKind::kRmdir, OpKind::kUnlink, OpKind::kReadLink}) {
-    EXPECT_GT(succeeded[kind], 0) << OpKindName(kind);
-  }
+  RunSequence(v, *filesystem, &errnos, &outcomes, [&](int i) {
+    ASSERT_TRUE(v.Unmount().ok()) << "op " << i;
+    ASSERT_TRUE(v.Mount().ok()) << "op " << i;
+  });
 
   // Traffic and time are read after a final unmount, before the image
   // read below adds to them.
@@ -203,6 +215,73 @@ INSTANTIATE_TEST_SUITE_P(
       }
       return name;
     });
+
+// jffs2f runs the same sequence on a 128 KB flash, small enough that
+// the log fills and garbage collection rewrites it. Every 50 operations
+// the mount state is exported and the flash remounted (a log replay);
+// every 100, the exported state is imported back over the replayed one,
+// as a kVfsApi restore does, which brings back the in-memory atimes and
+// op counter the replay cannot see. An MTD keeps no DeviceStats, so the
+// log head and the GC count stand in for the traffic row.
+TEST(FsGoldenTest, Jffs2SeededSequenceMatchesPinnedValues) {
+  SimClock clock;
+  auto mtd = std::make_shared<storage::MtdDevice>("golden", 128 * 1024,
+                                                  &clock);
+  auto filesystem = std::make_shared<fs::Jffs2Fs>(mtd);
+  vfs::VfsOptions vfs_options;
+  vfs_options.enable_caches = false;
+  vfs::Vfs v(filesystem, &clock, vfs_options);
+  ASSERT_TRUE(filesystem->Mkfs().ok());
+  ASSERT_TRUE(v.Mount().ok());
+
+  Md5 errnos;
+  Md5 outcomes;
+  Md5 mount_states;
+  RunSequence(v, *filesystem, &errnos, &outcomes, [&](int i) {
+    auto exported = filesystem->ExportMountState();
+    ASSERT_TRUE(exported.ok()) << "op " << i;
+    mount_states.Update(exported.value());
+    ASSERT_TRUE(v.Unmount().ok()) << "op " << i;
+    ASSERT_TRUE(v.Mount().ok()) << "op " << i;
+    if (i % (2 * kRemountEvery) == 0) {
+      ASSERT_TRUE(filesystem->ImportMountState(exported.value()).ok())
+          << "op " << i;
+    }
+  });
+
+  // No pool operation opens with O_TRUNC: truncate a written file that
+  // way, write past the new end (a zero-filled hole) and read it back.
+  auto fd = v.Open("/trunc", fs::kCreate | fs::kRdWr, 0644);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(v.Write(fd.value(), 0, AsBytes("before")).ok());
+  ASSERT_TRUE(v.Close(fd.value()).ok());
+  fd = v.Open("/trunc", fs::kRdWr | fs::kTrunc, 0);
+  ASSERT_TRUE(fd.ok());
+  ASSERT_TRUE(v.Write(fd.value(), 2, AsBytes("after")).ok());
+  auto data = v.Read(fd.value(), 0, 64);
+  ASSERT_TRUE(data.ok());
+  outcomes.Update(data.value());
+  ASSERT_TRUE(v.Close(fd.value()).ok());
+
+  ASSERT_TRUE(v.Unmount().ok());
+  const SimClock::Nanos sim_ns = clock.now();
+  Bytes image(mtd->size_bytes());
+  ASSERT_TRUE(mtd->Read(0, image).ok());
+  ASSERT_TRUE(v.Mount().ok());
+  auto state = ComputeAbstractState(v, AbstractionOptions{});
+  ASSERT_TRUE(state.ok());
+
+  ASSERT_GE(filesystem->gc_runs(), 1u) << "the log never wrapped";
+  EXPECT_EQ(errnos.Final().ToHex(), "1dd4b17d906db561011f5cfb0f3f6ad9");
+  EXPECT_EQ(outcomes.Final().ToHex(), "ed807b2bf2d05a48f3187c605cd43c17");
+  EXPECT_EQ(mount_states.Final().ToHex(),
+            "9d335e1ad7fde421f00b3f80cb44335a");
+  EXPECT_EQ(sim_ns, 65114000);
+  EXPECT_EQ(Md5::Hash(image).ToHex(), "8845f009328d67c17b74712a08e995da");
+  EXPECT_EQ(filesystem->gc_runs(), 1u);
+  EXPECT_EQ(filesystem->log_head(), 64988u);
+  EXPECT_EQ(state.value().ToHex(), "8a6468176350d6256ec7d0996a1007fd");
+}
 
 }  // namespace
 }  // namespace mcfs::core
