@@ -9,11 +9,22 @@
 namespace mcfs::fs {
 
 Jffs2Fs::Jffs2Fs(std::shared_ptr<storage::MtdDevice> mtd,
-                 Jffs2Options options)
-    : mtd_(std::move(mtd)), options_(std::move(options)) {}
+                 Jffs2Options options, std::shared_ptr<ReplayMemo> memo)
+    : mtd_(std::move(mtd)),
+      options_(std::move(options)),
+      memo_(std::move(memo)) {}
 
 Jffs2Fs::~Jffs2Fs() {
   if (mounted_) (void)Unmount();
+}
+
+Bytes& Jffs2Fs::SharedBytes::Mut() {
+  if (bytes_ == nullptr) {
+    bytes_ = std::make_shared<Bytes>();
+  } else if (bytes_.use_count() > 1) {
+    bytes_ = std::make_shared<Bytes>(*bytes_);
+  }
+  return *bytes_;
 }
 
 // ---------------------------------------------------------------------------
@@ -78,7 +89,7 @@ Bytes Jffs2Fs::SerializeInodeNode(InodeNum ino, const InodeRec& rec,
   w.PutU64(rec.atime_ns);
   w.PutU64(rec.mtime_ns);
   w.PutU64(rec.ctime_ns);
-  w.PutBlob(rec.data);
+  w.PutBlob(rec.data.view());
   w.PutU32(static_cast<std::uint32_t>(rec.xattrs.size()));
   for (const auto& [name, value] : rec.xattrs) {
     w.PutString(name);
@@ -176,16 +187,29 @@ Status Jffs2Fs::ReplayLog() {
   next_seq_ = 1;
   next_ino_ = kRootIno + 1;
 
-  // Track highest-seq winner per inode / dirent key.
-  std::map<InodeNum, std::pair<std::uint64_t, InodeRec>> latest_inode;
-  std::map<InodeNum, std::pair<std::uint64_t, bool>> inode_dead;
-  std::map<std::pair<InodeNum, std::string>,
-           std::pair<std::uint64_t, std::pair<InodeNum, FileType>>>
-      latest_dirent;
+  // Resume from the last memo checkpoint inside the prefix this flash
+  // shares with the memo's image; the first `kept` checkpoints hold for
+  // this flash too.
+  ReplayFold fold;
+  std::size_t kept = 0;
+  if (memo_ != nullptr && memo_->image_.size() == mtd_->size_bytes()) {
+    const std::uint64_t shared =
+        SharedPrefixBytes(memo_->image_, mtd_->image());
+    const std::vector<ReplayFold>& checkpoints = memo_->checkpoints_;
+    kept = static_cast<std::size_t>(
+        std::upper_bound(checkpoints.begin(), checkpoints.end(), shared,
+                         [](std::uint64_t n, const ReplayFold& f) {
+                           return n < f.pos;
+                         }) -
+        checkpoints.begin());
+    if (kept > 0) fold = checkpoints[kept - 1];
+  }
+  const std::uint64_t resumed_at = fold.pos;
+  std::vector<ReplayFold> reached;  // the node boundaries past it
 
   const std::uint64_t flash = mtd_->size_bytes();
-  std::uint64_t pos = 0;
-  while (pos + kNodeHeaderBytes <= flash) {
+  while (fold.pos + kNodeHeaderBytes <= flash) {
+    const std::uint64_t pos = fold.pos;
     Bytes header(kNodeHeaderBytes);
     if (Status s = mtd_->Read(pos, header); !s.ok()) return s;
     ByteReader hr(header);
@@ -216,28 +240,28 @@ Status Jffs2Fs::ReplayLog() {
       rec.atime_ns = r.GetU64();
       rec.mtime_ns = r.GetU64();
       rec.ctime_ns = r.GetU64();
-      rec.data = r.GetBlob();
+      rec.data = SharedBytes(r.GetBlob());
       const std::uint32_t xattr_count = r.GetU32();
       for (std::uint32_t i = 0; i < xattr_count; ++i) {
         std::string name = r.GetString();
         rec.xattrs[std::move(name)] = r.GetBlob();
       }
       if (tombstone) {
-        auto& dead = inode_dead[ino];
+        auto& dead = fold.inode_dead[ino];
         if (seq >= dead.first) dead = {seq, true};
       } else {
-        auto& slot = latest_inode[ino];
+        auto& slot = fold.latest_inode[ino];
         if (seq >= slot.first) slot = {seq, std::move(rec)};
-        auto& dead = inode_dead[ino];
+        auto& dead = fold.inode_dead[ino];
         if (seq >= dead.first) dead = {seq, false};
       }
-      if (ino >= next_ino_) next_ino_ = ino + 1;
+      if (ino >= fold.next_ino) fold.next_ino = ino + 1;
     } else if (type == NodeType::kDirent) {
       const InodeNum parent = r.GetU64();
       std::string name = r.GetString();
       const InodeNum target = r.GetU64();
       const auto ftype = static_cast<FileType>(r.GetU8());
-      auto& slot = latest_dirent[{parent, std::move(name)}];
+      auto& slot = fold.latest_dirent[{parent, std::move(name)}];
       if (seq >= slot.first) slot = {seq, {target, ftype}};
     } else if (type == NodeType::kRename) {
       // Both halves of the rename share one seq: the node is applied
@@ -250,30 +274,47 @@ Status Jffs2Fs::ReplayLog() {
       const auto ftype = static_cast<FileType>(r.GetU8());
       const InodeNum victim = r.GetU64();
       const bool victim_unlinked = r.GetU8() != 0;
-      auto& src_slot = latest_dirent[{src_parent, std::move(src_name)}];
+      auto& src_slot = fold.latest_dirent[{src_parent, std::move(src_name)}];
       if (seq >= src_slot.first) src_slot = {seq, {kInvalidInode, ftype}};
-      auto& dst_slot = latest_dirent[{dst_parent, std::move(dst_name)}];
+      auto& dst_slot = fold.latest_dirent[{dst_parent, std::move(dst_name)}];
       if (seq >= dst_slot.first) dst_slot = {seq, {target, ftype}};
       if (victim_unlinked) {
-        auto& dead = inode_dead[victim];
+        auto& dead = fold.inode_dead[victim];
         if (seq >= dead.first) dead = {seq, true};
       }
     }
     } catch (const std::out_of_range&) {
       break;  // garbage payload despite a CRC match: treat as log end
     }
-    if (seq >= next_seq_) next_seq_ = seq + 1;
+    if (seq >= fold.next_seq) fold.next_seq = seq + 1;
 
-    pos += (kNodeHeaderBytes + len + 3) / 4 * 4;
+    fold.pos += (kNodeHeaderBytes + len + 3) / 4 * 4;
+    if (memo_ != nullptr) reached.push_back(fold);
   }
-  log_head_ = pos;
 
-  for (auto& [ino, slot] : latest_inode) {
-    const auto dead = inode_dead.find(ino);
-    if (dead != inode_dead.end() && dead->second.second) continue;
+  // The replay reached the log's end: this flash and its checkpoints
+  // replace the memo's past the kept ones.
+  if (memo_ != nullptr) {
+    memo_->image_ = mtd_->image();
+    std::vector<ReplayFold>& checkpoints = memo_->checkpoints_;
+    checkpoints.erase(
+        checkpoints.begin() + static_cast<std::ptrdiff_t>(kept),
+        checkpoints.end());
+    std::move(reached.begin(), reached.end(),
+              std::back_inserter(checkpoints));
+    ++memo_->replays_;
+    memo_->replayed_bytes_ += fold.pos - resumed_at;
+  }
+
+  log_head_ = fold.pos;
+  next_seq_ = fold.next_seq;
+  next_ino_ = fold.next_ino;
+  for (auto& [ino, slot] : fold.latest_inode) {
+    const auto dead = fold.inode_dead.find(ino);
+    if (dead != fold.inode_dead.end() && dead->second.second) continue;
     inodes_[ino] = std::move(slot.second);
   }
-  for (auto& [key, slot] : latest_dirent) {
+  for (auto& [key, slot] : fold.latest_dirent) {
     if (slot.second.first == kInvalidInode) continue;       // deletion
     if (!inodes_.contains(slot.second.first)) continue;     // dangling
     dirents_[key] = slot.second;
@@ -377,7 +418,7 @@ Result<Bytes> Jffs2Fs::ExportMountState() const {
     w.PutU64(rec.atime_ns);
     w.PutU64(rec.mtime_ns);
     w.PutU64(rec.ctime_ns);
-    w.PutBlob(rec.data);
+    w.PutBlob(rec.data.view());
     w.PutU32(static_cast<std::uint32_t>(rec.xattrs.size()));
     for (const auto& [name, value] : rec.xattrs) {
       w.PutString(name);
@@ -414,7 +455,7 @@ Status Jffs2Fs::ImportMountState(ByteView image) {
       rec.atime_ns = r.GetU64();
       rec.mtime_ns = r.GetU64();
       rec.ctime_ns = r.GetU64();
-      rec.data = r.GetBlob();
+      rec.data = SharedBytes(r.GetBlob());
       const std::uint32_t xattr_count = r.GetU32();
       for (std::uint32_t x = 0; x < xattr_count; ++x) {
         std::string name = r.GetString();
@@ -576,7 +617,8 @@ Result<InodeNum> Jffs2Fs::CreateNode(const std::string& path, FileType type,
   rec.gid = options_.identity.gid;
   rec.atime_ns = rec.mtime_ns = rec.ctime_ns = NowNs();
   if (type == FileType::kSymlink) {
-    rec.data.assign(symlink_target.begin(), symlink_target.end());
+    rec.data =
+        SharedBytes(Bytes(symlink_target.begin(), symlink_target.end()));
   }
   inodes_[ino] = std::move(rec);
   if (Status s = PersistInode(ino); !s.ok()) {
@@ -711,7 +753,7 @@ Result<FileHandle> Jffs2Fs::Open(const std::string& path,
     }
     if ((flags & kTrunc) && want_write && rec.type == FileType::kRegular &&
         !rec.data.empty()) {
-      rec.data.clear();
+      rec.data = SharedBytes();
       rec.mtime_ns = NowNs();
       if (Status s = PersistInode(ino); !s.ok()) return s.error();
     }
@@ -735,10 +777,11 @@ Result<Bytes> Jffs2Fs::Read(FileHandle fh, std::uint64_t offset,
   InodeRec& rec = inodes_.at(it->second.ino);
   if (rec.type == FileType::kDirectory) return Errno::kEISDIR;
   rec.atime_ns = NowNs();
-  if (offset >= rec.data.size()) return Bytes{};
-  const std::uint64_t n = std::min(size, rec.data.size() - offset);
-  return Bytes(rec.data.begin() + static_cast<std::ptrdiff_t>(offset),
-               rec.data.begin() + static_cast<std::ptrdiff_t>(offset + n));
+  const ByteView data = rec.data.view();
+  if (offset >= data.size()) return Bytes{};
+  const std::uint64_t n = std::min(size, data.size() - offset);
+  return Bytes(data.begin() + static_cast<std::ptrdiff_t>(offset),
+               data.begin() + static_cast<std::ptrdiff_t>(offset + n));
 }
 
 Result<std::uint64_t> Jffs2Fs::Write(FileHandle fh, std::uint64_t offset,
@@ -754,11 +797,12 @@ Result<std::uint64_t> Jffs2Fs::Write(FileHandle fh, std::uint64_t offset,
   if (LiveBytes() + data.size() + 128 > mtd_->size_bytes()) {
     return Errno::kENOSPC;
   }
-  if (offset + data.size() > rec.data.size()) {
-    rec.data.resize(offset + data.size(), 0);  // zero-fill any hole
+  Bytes& content = rec.data.Mut();
+  if (offset + data.size() > content.size()) {
+    content.resize(offset + data.size(), 0);  // zero-fill any hole
   }
   std::copy(data.begin(), data.end(),
-            rec.data.begin() + static_cast<std::ptrdiff_t>(offset));
+            content.begin() + static_cast<std::ptrdiff_t>(offset));
   rec.mtime_ns = NowNs();
   rec.ctime_ns = rec.mtime_ns;
   if (Status s = PersistInode(it->second.ino); !s.ok()) return s.error();
@@ -778,7 +822,7 @@ Status Jffs2Fs::Truncate(const std::string& path, std::uint64_t size) {
       size > rec.data.size()) {
     return Errno::kENOSPC;
   }
-  rec.data.resize(size, 0);  // shrink discards; growth zero-fills
+  rec.data.Mut().resize(size, 0);  // shrink discards; growth zero-fills
   rec.mtime_ns = NowNs();
   rec.ctime_ns = rec.mtime_ns;
   return PersistInode(res.value());
@@ -942,7 +986,7 @@ Result<std::string> Jffs2Fs::ReadLink(const std::string& path) {
   if (!res.ok()) return res.error();
   const InodeRec& rec = inodes_.at(res.value());
   if (rec.type != FileType::kSymlink) return Errno::kEINVAL;
-  return std::string(rec.data.begin(), rec.data.end());
+  return std::string(AsString(rec.data.view()));
 }
 
 Status Jffs2Fs::Access(const std::string& path, std::uint32_t mode) {

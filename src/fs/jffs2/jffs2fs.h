@@ -18,10 +18,17 @@
 // block-rounded), no special directories, usable capacity very different
 // from the block file systems, and much slower per-op device cost (flash
 // program/erase latencies) — jffs2f is the slow outlier of Figure 2.
+//
+// The replay is a left fold over nodes in flash order. Crash-recovery
+// probes of one stack share a ReplayMemo, so a probe resumes the fold
+// from the longest log prefix its flash shares with the last image a
+// probe replayed, instead of re-reading and re-checking that prefix.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "fs/filesystem.h"
 #include "fs/mount_state.h"
@@ -40,7 +47,14 @@ struct Jffs2Options {
 
 class Jffs2Fs final : public FileSystem, public MountStateCapture {
  public:
-  Jffs2Fs(std::shared_ptr<storage::MtdDevice> mtd, Jffs2Options options = {});
+  class ReplayMemo;
+
+  // With a `memo`, Mount's log replay resumes from it and leaves its own
+  // image and resume points in it. A resumed replay skips the reads of
+  // the shared prefix, so the device must charge no simulated time: only
+  // recovery probes, whose devices carry no clock, get a memo.
+  Jffs2Fs(std::shared_ptr<storage::MtdDevice> mtd, Jffs2Options options = {},
+          std::shared_ptr<ReplayMemo> memo = nullptr);
   ~Jffs2Fs() override;
 
   Status Mkfs() override;
@@ -106,6 +120,24 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
   // lose the file entirely.
   enum class NodeType : std::uint8_t { kInode = 1, kDirent = 2, kRename = 3 };
 
+  // A file's content or symlink target, shared by every copy of its
+  // InodeRec (replay resume points, the index built from them) until one
+  // of them writes: Mut() clones shared bytes first. So a resumed replay
+  // copies no file bytes.
+  class SharedBytes {
+   public:
+    SharedBytes() = default;
+    explicit SharedBytes(Bytes bytes)
+        : bytes_(std::make_shared<Bytes>(std::move(bytes))) {}
+    ByteView view() const { return bytes_ ? ByteView(*bytes_) : ByteView(); }
+    std::size_t size() const { return bytes_ ? bytes_->size() : 0; }
+    bool empty() const { return size() == 0; }
+    Bytes& Mut();
+
+   private:
+    std::shared_ptr<Bytes> bytes_;
+  };
+
   struct InodeRec {
     FileType type = FileType::kRegular;
     Mode mode = 0;
@@ -114,8 +146,24 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
     std::uint64_t atime_ns = 0;
     std::uint64_t mtime_ns = 0;
     std::uint64_t ctime_ns = 0;
-    Bytes data;  // file content or symlink target
+    SharedBytes data;  // file content or symlink target
     std::map<std::string, Bytes> xattrs;
+  };
+
+  // The log replay's state after the nodes before `pos`: the highest-seq
+  // node per inode, per inode's liveness and per dirent key, and the
+  // counters appends continue from. It depends only on the flash bytes
+  // before `pos` and on the flash size, so two flashes of one size that
+  // agree on those bytes reach the same fold at `pos`.
+  struct ReplayFold {
+    std::uint64_t pos = 0;
+    std::uint64_t next_seq = 1;
+    InodeNum next_ino = kRootIno + 1;
+    std::map<InodeNum, std::pair<std::uint64_t, InodeRec>> latest_inode;
+    std::map<InodeNum, std::pair<std::uint64_t, bool>> inode_dead;
+    std::map<std::pair<InodeNum, std::string>,
+             std::pair<std::uint64_t, std::pair<InodeNum, FileType>>>
+        latest_dirent;
   };
 
   struct OpenFile {
@@ -140,6 +188,8 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
   Status ProgramAtHead(ByteView node);
   Status AppendNode(ByteView payload, NodeType type);
   Status GarbageCollect();
+  // Folds the log into the index, from the memo's resume point if there
+  // is one. Returns early, leaving the memo as it was, on a read error.
   Status ReplayLog();
   std::uint64_t LiveBytes() const;
 
@@ -172,6 +222,7 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
 
   std::shared_ptr<storage::MtdDevice> mtd_;
   Jffs2Options options_;
+  std::shared_ptr<ReplayMemo> memo_;  // recovery probes only
   bool mounted_ = false;
 
   // In-memory index (rebuilt at mount by replaying the log).
@@ -186,6 +237,35 @@ class Jffs2Fs final : public FileSystem, public MountStateCapture {
   FileHandle next_handle_ = 1;
   std::uint64_t op_counter_ = 0;
   std::uint64_t gc_runs_ = 0;
+};
+
+// What the recovery probes of one stack share: the last flash image a
+// probe replayed to its end (a BlockImage copy, which keeps its blocks
+// alive) and the replay's fold at each of its node boundaries. A probe
+// finds the longest byte prefix its flash shares with that image
+// (storage::SharedPrefixBytes) and resumes from the last boundary inside
+// it; a corrupted or torn byte in the prefix shortens it, so the nodes
+// from there on are read and checked again. Keys are bytes, not block
+// pointers: the block holding a node's tail also holds the nodes
+// appended after it, so every crash state carries its own clone of it.
+//
+// Not thread-safe. One thread builds and mounts the probes of a stack,
+// and each swarm worker builds its own stack, so no memo is shared
+// across threads.
+class Jffs2Fs::ReplayMemo {
+ public:
+  // Replays that reached the end of the log through this memo, and the
+  // log bytes they folded (from the resume point to the log's end).
+  std::uint64_t replays() const { return replays_; }
+  std::uint64_t replayed_bytes() const { return replayed_bytes_; }
+
+ private:
+  friend class Jffs2Fs;
+
+  storage::BlockImage image_;
+  std::vector<ReplayFold> checkpoints_;  // ascending pos
+  std::uint64_t replays_ = 0;
+  std::uint64_t replayed_bytes_ = 0;
 };
 
 }  // namespace mcfs::fs

@@ -174,6 +174,7 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
       fut->hosted_fs_ =
           std::make_shared<fs::Jffs2Fs>(fut->mtd_, Jffs2OptionsFor(config));
       fut->inner_fs_ = fut->hosted_fs_;
+      fut->replay_memo_ = std::make_shared<fs::Jffs2Fs::ReplayMemo>();
       break;
     }
     case FsKind::kVerifs1: {
@@ -584,7 +585,7 @@ Result<fs::FileSystemPtr> FsUnderTest::BuildRecoveryProbe(
       return fs::FileSystemPtr(std::make_shared<fs::Jffs2Fs>(
           std::make_shared<storage::MtdDevice>("mtdram-probe",
                                                std::move(image), nullptr),
-          Jffs2OptionsFor(config_)));
+          Jffs2OptionsFor(config_), replay_memo_));
     case FsKind::kVerifs1:
     case FsKind::kVerifs2:
     case FsKind::kSpec:

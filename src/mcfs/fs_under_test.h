@@ -22,6 +22,7 @@
 #include <string>
 
 #include "fs/filesystem.h"
+#include "fs/jffs2/jffs2fs.h"
 #include "fs/kernel_notifier.h"
 #include "fs/mount_state.h"
 #include "fs/perms.h"
@@ -137,10 +138,16 @@ class FsUnderTest {
   // device whose contents are `image` (its blocks shared, not copied),
   // mounted by nothing, carrying the same file-system options (including
   // seeded bugs, so a mutant's broken recovery path is the one
-  // exercised). The caller mounts it.
+  // exercised). The caller mounts it. jffs2f probes share one replay
+  // memo, so each resumes its log replay where it departs from the last
+  // probe's flash.
   storage::CrashableDisk* crash_disk() { return crash_disk_; }
   Result<fs::FileSystemPtr> BuildRecoveryProbe(
       storage::BlockImage image) const;
+  // jffs2f only (null otherwise): the memo its probes share.
+  const fs::Jffs2Fs::ReplayMemo* replay_memo() const {
+    return replay_memo_.get();
+  }
 
  private:
   FsUnderTest() = default;
@@ -159,6 +166,11 @@ class FsUnderTest {
   storage::BlockDevicePtr device_;                 // block view (snapshots)
   std::shared_ptr<storage::MtdDevice> mtd_;        // jffs2f only
   storage::CrashableDisk* crash_disk_ = nullptr;   // aliases device_
+  // jffs2f: the recovery probes' replay memo. The live file system never
+  // sees it (its device charges time). Not thread-safe: one thread
+  // builds and mounts this stack's probes, and each swarm worker builds
+  // its own stack.
+  std::shared_ptr<fs::Jffs2Fs::ReplayMemo> replay_memo_;
 
   // The file system proper and, for FUSE transport, its plumbing.
   fs::FileSystemPtr hosted_fs_;    // the real implementation

@@ -78,19 +78,25 @@ Bytes BlockImage::ToBytes() const {
   return out;
 }
 
-bool operator==(const BlockImage& a, const BlockImage& b) {
-  if (a.size_ != b.size_) return false;
-  for (std::size_t i = 0; i < a.blocks_.size(); ++i) {
+std::uint64_t SharedPrefixBytes(const BlockImage& a, const BlockImage& b) {
+  const std::uint64_t size = std::min(a.size_, b.size_);
+  const std::size_t blocks =
+      static_cast<std::size_t>((size + kCowBlockSize - 1) / kCowBlockSize);
+  for (std::size_t i = 0; i < blocks; ++i) {
     if (a.blocks_[i] == b.blocks_[i] &&
         (a.blocks_[i] != nullptr || a.fill_ == b.fill_)) {
       continue;  // shared, or both null on one fill
     }
     const ByteView x = a.Block(i);
-    if (std::memcmp(x.data(), b.Block(i).data(), x.size()) != 0) {
-      return false;
+    const ByteView y = b.Block(i);
+    const std::size_t n = std::min(x.size(), y.size());
+    if (std::memcmp(x.data(), y.data(), n) != 0) {
+      const auto differ = std::mismatch(x.begin(), x.begin() + n, y.begin());
+      return std::uint64_t{i} * kCowBlockSize +
+             static_cast<std::uint64_t>(differ.first - x.begin());
     }
   }
-  return true;
+  return size;
 }
 
 }  // namespace mcfs::storage

@@ -48,9 +48,20 @@ class BlockImage {
 
   Bytes ToBytes() const;
 
+  // How many leading bytes `a` and `b` agree on, up to the shorter
+  // image's size. A block pointer both images hold, or a null block on
+  // the same fill in both, counts as equal without being read; any other
+  // pair of blocks is compared byte for byte, so equal bytes in distinct
+  // blocks (a clone, or a written block of fill bytes against a null
+  // one) count too.
+  friend std::uint64_t SharedPrefixBytes(const BlockImage& a,
+                                         const BlockImage& b);
+
   // Equal contents, however the blocks are shared and whatever the
   // fills: a 0xff-fill image equals a zero-fill one holding its bytes.
-  friend bool operator==(const BlockImage& a, const BlockImage& b);
+  friend bool operator==(const BlockImage& a, const BlockImage& b) {
+    return a.size_ == b.size_ && SharedPrefixBytes(a, b) == a.size_;
+  }
 
  private:
   CowBlocks blocks_;

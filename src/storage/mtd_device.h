@@ -88,6 +88,11 @@ class MtdDevice {
   DeviceSnapshot SnapshotContents() const;
   Status RestoreContents(const DeviceSnapshot& contents);
 
+  // The flash itself, read without a charge: a recovery probe's log
+  // replay compares it with the image it replayed before (a probe device
+  // has no clock, so there is no charge to skip).
+  const BlockImage& image() const { return image_; }
+
   std::uint64_t erase_count(std::uint32_t block_index) const {
     return erase_counts_.at(block_index);
   }

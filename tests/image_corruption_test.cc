@@ -3,7 +3,10 @@
 // Mount with a Status, and a mounted image must answer a walk of its
 // tree (readdir, getattr, read, xattrs) and unmount the same way: an
 // error is fine, a crash or a hang is not. Recovery probes mount
-// arbitrary crash images, so this is the input they face.
+// arbitrary crash images, so this is the input they face. jffs2f probes
+// resume their log replay from a memo (Jffs2Fs::ReplayMemo), so each
+// jffs2f case is also mounted through a memo primed with the pristine
+// image, and must recover exactly what the fresh mount recovers.
 // Labelled crash: scripts/asan.sh -L crash runs it under ASan+UBSan.
 #include <gtest/gtest.h>
 
@@ -82,15 +85,19 @@ struct Outcomes {
   int refused = 0;
 };
 
+void WalkAndUnmount(FileSystem& fs) {
+  Walk(fs, "/", 0);
+  (void)fs.StatFs();
+  (void)fs.Unmount();
+}
+
 void MountAndWalk(FileSystem& fs, Outcomes* outcomes) {
   if (!fs.Mount().ok()) {
     ++outcomes->refused;
     return;
   }
   ++outcomes->mounted;
-  Walk(fs, "/", 0);
-  (void)fs.StatFs();
-  (void)fs.Unmount();
+  WalkAndUnmount(fs);
 }
 
 void PutU32At(BlockImage* image, std::uint64_t offset, std::uint32_t v) {
@@ -178,6 +185,7 @@ TEST(ImageCorruption, Jffs2MountSurvivesEveryCorruption) {
   const std::uint64_t log_end =
       nodes.back().offset + (kHeader + nodes.back().payload_len + 3) / 4 * 4;
   Outcomes outcomes;
+  int memo_misses = 0;  // cases whose replay resumed before the log's end
   for (std::uint64_t seed = 1; seed <= 400; ++seed) {
     Rng rng(seed);
     BlockImage image = pristine;
@@ -223,13 +231,42 @@ TEST(ImageCorruption, Jffs2MountSurvivesEveryCorruption) {
         ResignNode(&image, node, node.payload_len);
         break;
     }
+    // A memo primed with the pristine log. Each corruption shortens the
+    // prefix the image shares with it (case 0 flips bits anywhere, the
+    // memoized nodes included), so the memoized replay resumes at the
+    // last node boundary before the damage and re-reads from there.
+    auto memo = std::make_shared<Jffs2Fs::ReplayMemo>();
+    Jffs2Fs primer(
+        std::make_shared<storage::MtdDevice>("primer", pristine, nullptr), {},
+        memo);
+    ASSERT_TRUE(primer.Mount().ok());
+    const std::uint64_t primed_bytes = memo->replayed_bytes();
+    Jffs2Fs memoized(
+        std::make_shared<storage::MtdDevice>("memoized", image, nullptr), {},
+        memo);
     Jffs2Fs fs(std::make_shared<storage::MtdDevice>("probe", std::move(image),
                                                     nullptr));
-    MountAndWalk(fs, &outcomes);
+    const Status resumed = memoized.Mount();
+    const Status fresh = fs.Mount();
+    ASSERT_EQ(resumed, fresh) << "case " << seed;
+    const std::uint64_t resume_point =
+        memoized.log_head() - (memo->replayed_bytes() - primed_bytes);
+    if (resume_point < log_end) ++memo_misses;
+    if (!fresh.ok()) {
+      ++outcomes.refused;
+      continue;
+    }
+    ++outcomes.mounted;
+    EXPECT_EQ(memoized.ExportMountState().value(),
+              fs.ExportMountState().value())
+        << "case " << seed;
+    WalkAndUnmount(memoized);
+    WalkAndUnmount(fs);
   }
   // A damaged log still mounts (replay stops at the damage), so most
   // cases mount; the sweep is only useful if they reach the walk.
   EXPECT_GT(outcomes.mounted, 200);
+  EXPECT_GT(memo_misses, 300);
 }
 
 // ---------------------------------------------------------------------------

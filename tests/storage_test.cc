@@ -487,6 +487,57 @@ TEST(BlockImageTest, EqualityIsContentAcrossFills) {
   EXPECT_TRUE(zeros == zeros_on_ones);
 }
 
+// SharedPrefixBytes: how far two images agree, the key of jffs2f's replay
+// memo. Pointer-equal blocks and same-fill null blocks are equal unread;
+// every other block is compared by content.
+TEST(BlockImageTest, SharedPrefixComparesBytesNotBlockPointers) {
+  constexpr std::uint64_t kBytes = 3 * kCowBlockSize;
+  BlockImage base(kBytes, 0xff);
+  Rng rng(11);
+  Bytes data(kBytes - 500);
+  for (std::uint8_t& b : data) b = static_cast<std::uint8_t>(rng.Next());
+  base.Write(0, data);
+
+  // Shared blocks, and null against null (the tail) on one fill.
+  const BlockImage copy = base;
+  EXPECT_EQ(SharedPrefixBytes(base, copy), kBytes);
+  EXPECT_EQ(SharedPrefixBytes(BlockImage(kBytes, 0xff),
+                              BlockImage(kBytes, 0xff)),
+            kBytes);
+  // Null on different fills differs at the first byte.
+  EXPECT_EQ(SharedPrefixBytes(BlockImage(kBytes, 0xff), BlockImage(kBytes)),
+            0u);
+
+  // A clone that differs only in its last byte.
+  BlockImage clone = base;
+  clone.Write(kBytes - 1, Bytes{0x00});
+  EXPECT_EQ(SharedPrefixBytes(base, clone), kBytes - 1);
+  EXPECT_EQ(SharedPrefixBytes(clone, base), kBytes - 1);
+  // A clone that holds the same bytes as the block it replaced.
+  BlockImage same = base;
+  same.Write(kCowBlockSize, Bytes{data[kCowBlockSize]});
+  EXPECT_EQ(SharedPrefixBytes(base, same), kBytes);
+
+  // Null against a written block of fill bytes: equal bytes.
+  const BlockImage erased(kBytes, 0xff);
+  BlockImage written(kBytes, 0xff);
+  written.Write(kCowBlockSize + 7, Bytes{0x00});
+  written.Write(kCowBlockSize + 7, Bytes{0xff});
+  ASSERT_EQ(written.allocated_blocks(), 1u);
+  EXPECT_EQ(SharedPrefixBytes(erased, written), kBytes);
+  written.Write(kCowBlockSize + 9, Bytes{0x7f});
+  EXPECT_EQ(SharedPrefixBytes(erased, written), kCowBlockSize + 9);
+
+  // Images of different sizes agree at most up to the shorter one.
+  BlockImage shorter(kBytes - 100, 0xff);
+  shorter.Write(0, ByteView(data).first(kBytes - 600));
+  EXPECT_EQ(SharedPrefixBytes(base, shorter), kBytes - 600);
+  shorter.Write(kBytes - 600, ByteView(data).subspan(kBytes - 600));
+  EXPECT_EQ(SharedPrefixBytes(base, shorter), kBytes - 100);
+  EXPECT_EQ(SharedPrefixBytes(shorter, base), kBytes - 100);
+  EXPECT_EQ(SharedPrefixBytes(base, BlockImage()), 0u);
+}
+
 // ---------------------------------------------------------------------------
 // Charge-only scans: Scan(offset, n) must fail, count and charge exactly
 // as Read(offset, n bytes) does on the same device in the same state, and
