@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <iterator>
 
 #include "fs/path.h"
 #include "util/crc32c.h"
