@@ -1,7 +1,6 @@
 #include "mcfs/syscall_engine.h"
 
 #include <algorithm>
-#include <mutex>
 #include <sstream>
 #include <unordered_map>
 
@@ -31,20 +30,17 @@ std::vector<fs::FsFeature> CommonFeatures(
 
 // Every operation allocates and frees the same large buffers: write
 // payloads and their FUSE message copies, 64 KB read chunks for the
-// abstraction. glibc returns the top of the heap to the kernel once the
-// free memory there passes a threshold it adjusts at run time, so
-// whether those frees shrink the heap, for the next operation to fault
-// the pages back in, depends on where unrelated long-lived allocations
-// happened to land. On perfbench `verifs-bulk` that cycle cost 12 page
-// faults per operation and a third of the wall rate, and it came and
-// went with changes that never touched the workload's path. A fixed,
-// high trim threshold keeps freed memory at the top of the heap, so an
-// operation's cost depends on the operation. The peak RSS is the high
-// water mark either way.
+// abstraction. glibc hands the heap top back to the kernel once the free
+// memory there passes a threshold it adjusts at run time, so whether
+// those frees shrink the heap, for the next operation to fault the pages
+// back in, depends on where unrelated long-lived allocations landed. On
+// perfbench `verifs-bulk` that cost 12 page faults per operation and a
+// third of the wall rate, and it came and went with changes that never
+// touched the workload's path. A fixed, high threshold makes an
+// operation's cost depend on the operation.
 void KeepHeapTop() {
 #ifdef __GLIBC__
-  static std::once_flag once;
-  std::call_once(once, [] { mallopt(M_TRIM_THRESHOLD, 64 << 20); });
+  [[maybe_unused]] static const int kept = mallopt(M_TRIM_THRESHOLD, 64 << 20);
 #endif
 }
 
