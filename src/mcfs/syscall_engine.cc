@@ -34,10 +34,10 @@ std::vector<fs::FsFeature> CommonFeatures(
 // memory there passes a threshold it adjusts at run time, so whether
 // those frees shrink the heap, for the next operation to fault the pages
 // back in, depends on where unrelated long-lived allocations landed. On
-// perfbench `verifs-bulk` that cost 12 page faults per operation and a
-// third of the wall rate, and it came and went with changes that never
-// touched the workload's path. A fixed, high threshold makes an
-// operation's cost depend on the operation.
+// perfbench `verifs-bulk` that cost 12 minor page faults per operation,
+// and it came and went with changes that never touched the workload's
+// path. A fixed, high threshold makes an operation's cost depend on the
+// operation.
 void KeepHeapTop() {
 #ifdef __GLIBC__
   [[maybe_unused]] static const int kept = mallopt(M_TRIM_THRESHOLD, 64 << 20);

@@ -139,7 +139,7 @@ TEST_P(ReplayMemoTest, ProbesThroughTheMemoRecoverWhatFreshMountsRecover) {
 // A small CrashableDisk-over-MtdDevice stack whose writes fill the flash
 // until garbage collection erases it and rewrites the live nodes from
 // byte 0: the memo's image and the new flash then part at the first
-// node, and the probes must replay from scratch.
+// node, and the probes must replay the whole new log.
 TEST_P(ReplayMemoTest, ProbesAcrossGarbageCollectionMissAndStillAgree) {
   auto mtd = std::make_shared<storage::MtdDevice>("mtd", 64 * 1024, nullptr);
   auto disk = std::make_shared<storage::CrashableDisk>(
