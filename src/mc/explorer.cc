@@ -297,7 +297,7 @@ ExploreStats Explorer::RunDfs() {
   if (por_active_) {
     dependence_ = DependenceMatrix::Build(system_);
     // A fully-dependent matrix makes every sleep set empty forever; skip
-    // the bookkeeping instead of paying it for nothing.
+    // the sleep-set upkeep instead of paying it for nothing.
     if (dependence_.reducible_actions() == 0) por_active_ = false;
   }
   stats_.por_active = por_active_;
@@ -550,7 +550,7 @@ ExploreStats Explorer::RunDfs() {
         }
       }
 
-      // Sleep-set bookkeeping (Godefroid). The child inherits the slept
+      // Sleep-set upkeep (Godefroid). The child inherits the slept
       // transitions that commute with `action` — their interleavings
       // with it are covered on the sibling branch that ran them first —
       // and `action` itself then joins this frame's sleep set so the

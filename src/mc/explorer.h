@@ -115,7 +115,7 @@ struct ExplorerOptions {
   // set intact while expanding fewer transitions. Default on, but it
   // only *activates* for a solo exact DFS — it is gated off (flag
   // ignored) for random walk, bitstate mode, shared-store/frontier
-  // swarms, and resumed runs, where the sleep bookkeeping is not yet
+  // swarms, and resumed runs, where the sleep-set upkeep is not yet
   // proven sound: a peer (or a previous run) may have slept transitions
   // this worker would need to re-awaken, and a bitstate filter cannot
   // key the sleep map. ExploreStats::por_active reports the outcome.

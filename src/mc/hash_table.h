@@ -48,7 +48,7 @@ class VisitedTable {
   std::uint64_t size() const { return size_; }
   std::uint64_t capacity() const { return slots_.size(); }
   std::uint64_t resize_count() const { return resize_count_; }
-  // Exact footprint: slot array plus bookkeeping.
+  // Exact footprint: slot array plus the table object itself.
   std::uint64_t bytes_used() const;
 
  private:

@@ -78,7 +78,7 @@ Result<std::vector<std::string>> ListTreePaths(
 // + xattrs (the path is deliberately NOT folded into the node digest, so
 // a renamed subtree's entries can be re-keyed without re-reading data),
 // plus the inode number used to propagate nlink/content changes across
-// hard-link aliases. The inode number is bookkeeping only — it is never
+// hard-link aliases. The inode number is for alias tracking only — it is never
 // hashed (it is exactly the kind of noise §3.3 excludes).
 struct NodeDigest {
   Md5Digest digest;

@@ -285,8 +285,8 @@ Status CrashConsistencyChecker::ObserveOp(const Operation& op,
 Result<std::string> CrashConsistencyChecker::Check() {
   storage::CrashableDisk* disk = fut_->crash_disk();
   if (disk == nullptr) return Errno::kEINVAL;
-  // Each state is checked as it is enumerated, so one recovery image is
-  // alive at a time; the first failure ends the walk.
+  // Each state is checked as it is enumerated; the first failure ends
+  // the walk.
   Result<std::string> verdict = std::string();
   disk->VisitCrashStates(options_.states, [&](storage::CrashState st) {
     ++states_checked_;

@@ -80,7 +80,7 @@ class PersistenceOracle {
   // itself a violation.
   std::string ValidateRecovered(fs::FileSystem& recovered);
 
-  // Snapshot bookkeeping so explorer rollbacks rewind the oracle too.
+  // Snapshots of the oracle, so explorer rollbacks rewind it too.
   void Save(std::uint64_t key);
   Status Restore(std::uint64_t key);
   void Discard(std::uint64_t key);

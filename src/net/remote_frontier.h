@@ -92,7 +92,7 @@ class RemoteFrontier final : public mc::Frontier {
   std::mutex channels_mu_;
   std::map<int, std::unique_ptr<RpcClient>> steal_channels_;
 
-  // Serializes Started/Retire/RequestStop bookkeeping and the degrade
+  // Serializes the Started/Retire/RequestStop counts and the degrade
   // transition, so the fallback's replayed busy count is exact. These
   // are per-worker-lifetime events, not per-op — contention is nil.
   std::mutex mu_;

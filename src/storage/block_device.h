@@ -19,20 +19,22 @@
 
 namespace mcfs::storage {
 
+struct CrashRecorderState;  // crashable_disk.h
+
 // What BlockDevice::SnapshotContents returns and RestoreContents takes:
-// the device contents as a shared image (block_image.h), plus whatever
-// a decorating device keeps beside them — CrashableDisk's digest table
-// and journal; empty for every other device. Copying one copies a block
-// pointer vector, never the blocks.
+// the device contents as a shared image (block_image.h), plus, for a
+// CrashableDisk, its recorder state beside them; null for every other
+// device. Copying one copies a block pointer vector and a shared
+// pointer, never the blocks or the recorder state.
 struct DeviceSnapshot {
   BlockImage image;
-  Bytes bookkeeping;
+  std::shared_ptr<const CrashRecorderState> recorder;
 
   // The bytes this snapshot stands for, however many blocks it shares:
-  // the whole image plus the bookkeeping. State-size accounting (the
-  // memory model's simulated swap) charges this, as the paper's Spin
-  // stores a full copy of the device per state.
-  std::uint64_t size() const { return image.size() + bookkeeping.size(); }
+  // the whole image plus the recorder's digest table and journal.
+  // State-size accounting (the memory model's simulated swap) charges
+  // this, as the paper's Spin stores a full copy of the device per state.
+  std::uint64_t size() const;
 };
 
 // Counters a device maintains for benches and tests.

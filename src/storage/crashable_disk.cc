@@ -7,14 +7,12 @@
 #include <span>
 #include <utility>
 
-#include "util/bytes.h"
 #include "util/md5.h"
 #include "util/rng.h"
 
 namespace mcfs::storage {
 namespace {
 
-constexpr std::uint32_t kSnapshotMagic = 0x4352444bu;  // "CRDK"
 constexpr std::size_t kChunkBytes = CrashableDisk::kChunkBytes;
 static_assert(kChunkBytes == Md5::kChunkBytes);
 constexpr std::size_t kDigestBytes = sizeof(Md5Digest::bytes);
@@ -73,6 +71,19 @@ Bytes ChunkTable(const BlockImage& image) {
 
 }  // namespace
 
+std::uint64_t CrashRecorderState::bytes() const {
+  std::uint64_t total = chunk_table.size();
+  for (const Write& rec : journal) {
+    total += sizeof(rec.offset) + rec.after.size();
+  }
+  return total;
+}
+
+// Defined here, where the recorder state is a complete type.
+std::uint64_t DeviceSnapshot::size() const {
+  return image.size() + (recorder != nullptr ? recorder->bytes() : 0);
+}
+
 std::string CrashState::Describe() const {
   std::string out = "applied " + std::to_string(applied.size()) + "/" +
                     std::to_string(pending_total) + " in-flight writes {";
@@ -85,10 +96,10 @@ std::string CrashState::Describe() const {
 }
 
 CrashableDisk::CrashableDisk(BlockDevicePtr inner)
-    : inner_(std::move(inner)),
-      durable_(inner_->SnapshotContents().image),
-      chunk_table_(ChunkTable(durable_)),
-      durable_digest_(Md5::Hash(chunk_table_).lo64()) {}
+    : inner_(std::move(inner)), durable_(inner_->SnapshotContents().image) {
+  state_.chunk_table = ChunkTable(durable_);
+  state_.durable_digest = Md5::Hash(state_.chunk_table).lo64();
+}
 
 CrashableDisk::~CrashableDisk() {
   if (mtd_ != nullptr) mtd_->set_write_observer(nullptr);
@@ -136,27 +147,24 @@ Status CrashableDisk::OnMtdBarrier() {
 }
 
 void CrashableDisk::RecordWrite(std::uint64_t offset, ByteView after) {
-  WriteRecord rec;
-  rec.offset = offset;
-  rec.after.assign(after.begin(), after.end());
-  journal_.push_back(std::move(rec));
+  state_.journal.push_back({offset, Bytes(after.begin(), after.end())});
 }
 
 void CrashableDisk::CommitBarrier() {
   std::vector<std::size_t> dirty;
-  for (const WriteRecord& rec : journal_) {
+  for (const CrashRecorderState::Write& rec : state_.journal) {
     durable_.Write(rec.offset, rec.after);
     AddTouchedChunks(rec.offset, rec.after.size(), &dirty);
   }
   SortUnique(&dirty);
-  HashChunksInto(durable_, dirty, &chunk_table_);
-  journal_.clear();
-  ++barriers_;
-  durable_digest_ = Md5::Hash(chunk_table_).lo64();
+  HashChunksInto(durable_, dirty, &state_.chunk_table);
+  state_.journal.clear();
+  ++state_.barriers;
+  state_.durable_digest = Md5::Hash(state_.chunk_table).lo64();
 }
 
 void CrashableDisk::MarkClean() {
-  if (journal_.empty()) return;
+  if (state_.journal.empty()) return;
   CommitBarrier();
 }
 
@@ -166,45 +174,9 @@ BlockImage CrashableDisk::ImageWithSubset(
   // Ascending indices = issue order, so overlapping in-flight writes
   // resolve the same way the device would (later write wins).
   for (std::size_t idx : applied) {
-    image.Write(journal_[idx].offset, journal_[idx].after);
+    image.Write(state_.journal[idx].offset, state_.journal[idx].after);
   }
   return image;
-}
-
-Md5Digest CrashableDisk::SubsetDigest(
-    const std::vector<std::size_t>& applied) const {
-  std::vector<std::size_t> touched;
-  for (std::size_t idx : applied) {
-    AddTouchedChunks(journal_[idx].offset, journal_[idx].after.size(),
-                     &touched);
-  }
-  SortUnique(&touched);
-  // The table digest streams the durable entries between touched chunks
-  // and a fresh digest for each touched one, so it equals MD5 over the
-  // table this image's own chunks would produce.
-  Md5 table;
-  std::size_t next = 0;
-  Bytes chunk;
-  for (std::size_t c : touched) {
-    table.Update(ByteView(chunk_table_).subspan(
-        next * kDigestBytes, (c - next) * kDigestBytes));
-    const ByteView durable = durable_.Block(c);
-    chunk.assign(durable.begin(), durable.end());
-    const std::uint64_t begin = c * kChunkBytes;
-    const std::uint64_t end = begin + chunk.size();
-    for (std::size_t idx : applied) {  // write order: later write wins
-      const WriteRecord& rec = journal_[idx];
-      const std::uint64_t lo = std::max(begin, rec.offset);
-      const std::uint64_t hi = std::min(end, rec.offset + rec.after.size());
-      if (lo >= hi) continue;
-      std::memcpy(chunk.data() + (lo - begin),
-                  rec.after.data() + (lo - rec.offset), hi - lo);
-    }
-    table.Update(Md5::Hash(chunk).bytes);
-    next = c + 1;
-  }
-  table.Update(ByteView(chunk_table_).subspan(next * kDigestBytes));
-  return table.Final();
 }
 
 std::vector<CrashState> CrashableDisk::EnumerateCrashStates(
@@ -220,7 +192,7 @@ std::vector<CrashState> CrashableDisk::EnumerateCrashStates(
 void CrashableDisk::VisitCrashStates(
     const CrashStateOptions& options,
     const std::function<bool(CrashState)>& visit) const {
-  const std::size_t n = journal_.size();
+  const std::size_t n = state_.journal.size();
   const std::size_t cap = std::max<std::size_t>(options.max_states, 2);
 
   std::vector<std::vector<std::size_t>> subsets;
@@ -270,11 +242,17 @@ void CrashableDisk::VisitCrashStates(
     }
   }
 
-  std::set<Md5Digest> seen;  // dedup identical images
+  // Candidates share every block their writes do not touch, so an
+  // equality test reads only the blocks either image rewrote.
+  std::vector<BlockImage> visited;
   for (auto& subset : subsets) {
-    if (!seen.insert(SubsetDigest(subset)).second) continue;
+    BlockImage image = ImageWithSubset(subset);
+    if (std::find(visited.begin(), visited.end(), image) != visited.end()) {
+      continue;
+    }
+    visited.push_back(image);
     CrashState state;
-    state.image = ImageWithSubset(subset);
+    state.image = std::move(image);
     state.applied = std::move(subset);
     state.pending_total = n;
     if (!visit(std::move(state))) return;
@@ -283,10 +261,10 @@ void CrashableDisk::VisitCrashStates(
 
 std::uint64_t CrashableDisk::StateDigest() const {
   Md5 md5;
-  md5.UpdateU64(durable_digest_);
-  md5.UpdateU64(barriers_);
-  md5.UpdateU64(journal_.size());
-  for (const WriteRecord& rec : journal_) {
+  md5.UpdateU64(state_.durable_digest);
+  md5.UpdateU64(state_.barriers);
+  md5.UpdateU64(state_.journal.size());
+  for (const CrashRecorderState::Write& rec : state_.journal) {
     md5.UpdateU64(rec.offset);
     md5.Update(ByteView(rec.after.data(), rec.after.size()));
   }
@@ -294,73 +272,31 @@ std::uint64_t CrashableDisk::StateDigest() const {
 }
 
 DeviceSnapshot CrashableDisk::SnapshotContents() const {
-  // The durable image rides as the snapshot's shared image. The blob
-  // keeps its length where a copy of its bytes would sit, so a restore
-  // checks the two agree and size() counts the whole durable image.
-  ByteWriter w;
-  w.PutU32(kSnapshotMagic);
-  w.PutU64(durable_.size());
-  w.PutBlob(chunk_table_);
-  w.PutU64(barriers_);
-  w.PutU32(static_cast<std::uint32_t>(journal_.size()));
-  for (const WriteRecord& rec : journal_) {
-    w.PutU64(rec.offset);
-    w.PutBlob(rec.after);
-  }
-  return DeviceSnapshot{durable_, w.Take()};
+  return DeviceSnapshot{durable_,
+                        std::make_shared<const CrashRecorderState>(state_)};
 }
 
 Status CrashableDisk::RestoreContents(const DeviceSnapshot& contents) {
-  // Parse and check the whole snapshot before touching a member or the
-  // inner device, so a malformed one changes nothing.
-  const BlockImage& durable = contents.image;
-  if (durable.size() != inner_->size_bytes()) return Errno::kEINVAL;
-  Bytes table;
-  std::uint64_t barriers = 0;
-  std::vector<WriteRecord> journal;
-  try {
-    ByteReader r(contents.bookkeeping);
-    if (r.GetU32() != kSnapshotMagic) return Errno::kEINVAL;
-    if (r.GetU64() != durable.size()) return Errno::kEINVAL;
-    table = r.GetBlob();
-    if (table.size() != ChunkCount(durable.size()) * kDigestBytes) {
-      return Errno::kEINVAL;
-    }
-    barriers = r.GetU64();
-    const std::uint32_t count = r.GetU32();
-    // Each record holds at least an offset and a blob length, which
-    // bounds the count before anything is reserved for it.
-    if (count > r.remaining() / (2 * sizeof(std::uint64_t))) {
-      return Errno::kEINVAL;
-    }
-    journal.reserve(count);
-    for (std::uint32_t i = 0; i < count; ++i) {
-      WriteRecord rec;
-      rec.offset = r.GetU64();
-      rec.after = r.GetBlob();
-      if (rec.offset > durable.size() ||
-          rec.after.size() > durable.size() - rec.offset) {
-        return Errno::kEINVAL;
-      }
-      journal.push_back(std::move(rec));
-    }
-    if (!r.AtEnd()) return Errno::kEINVAL;
-  } catch (const std::out_of_range&) {
+  // Recorder state taken on a disk of another size would not fit: its
+  // table has one entry per chunk of that disk, and its journal's writes
+  // may lie past this one's end.
+  if (contents.recorder == nullptr ||
+      contents.image.size() != inner_->size_bytes() ||
+      contents.recorder->chunk_table.size() != state_.chunk_table.size()) {
     return Errno::kEINVAL;
   }
   // The inner device's live contents = durable + every in-flight write,
   // which copies only the blocks those writes touch.
-  BlockImage live = durable;
-  for (const WriteRecord& rec : journal) live.Write(rec.offset, rec.after);
+  BlockImage live = contents.image;
+  for (const CrashRecorderState::Write& rec : contents.recorder->journal) {
+    live.Write(rec.offset, rec.after);
+  }
   if (Status s = inner_->RestoreContents(DeviceSnapshot{std::move(live), {}});
       !s.ok()) {
     return s;
   }
-  durable_ = durable;
-  chunk_table_ = std::move(table);
-  journal_ = std::move(journal);
-  barriers_ = barriers;
-  durable_digest_ = Md5::Hash(chunk_table_).lo64();
+  durable_ = contents.image;
+  state_ = *contents.recorder;
   return Status::Ok();
 }
 

@@ -12,11 +12,11 @@
 // post-barrier writes are droppable. This is the B3 crash model (PAPERS.md)
 // specialized to whole-write granularity.
 //
-// Images are digested chunk-wise: the recorder keeps the MD5 of every
-// kChunkBytes chunk of the durable image, and an image's digest is the
-// MD5 over that table. A barrier re-hashes only the chunks its journal
-// touched, a crash candidate only the chunks its own writes touch, and a
-// snapshot carries the table so a restore re-hashes nothing.
+// The durable image is digested chunk-wise for StateDigest: the recorder
+// keeps the MD5 of every kChunkBytes chunk of it, and the durable digest
+// is the MD5 over that table, so a barrier re-hashes only the chunks its
+// journal touched. Crash states are deduplicated by comparing their
+// images, not by digest.
 //
 // The durable image and every crash state's image are BlockImages, so a
 // chunk is one image block: a snapshot shares the durable image instead
@@ -36,7 +36,7 @@
 
 #include "storage/block_device.h"
 #include "storage/mtd_device.h"
-#include "util/md5.h"
+#include "util/bytes.h"
 
 namespace mcfs::storage {
 
@@ -49,6 +49,24 @@ struct CrashStateOptions {
   // (the two states every barrier model agrees on).
   std::size_t max_states = 64;
   std::uint64_t seed = 1;
+};
+
+// Everything a CrashableDisk records beside its durable image. A
+// snapshot holds it as DeviceSnapshot::recorder, immutable and shared,
+// so the snapshot's image plus this is the recorder's whole state.
+struct CrashRecorderState {
+  struct Write {
+    std::uint64_t offset = 0;
+    Bytes after;  // post-image
+  };
+
+  Bytes chunk_table;                 // MD5 of each durable chunk, in order
+  std::uint64_t durable_digest = 0;  // MD5 over chunk_table, low 64 bits
+  std::uint64_t barriers = 0;
+  std::vector<Write> journal;        // in-flight writes, issue order
+
+  // The table and journal bytes, for DeviceSnapshot::size().
+  std::uint64_t bytes() const;
 };
 
 struct CrashState {
@@ -81,12 +99,14 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   }
   Status Write(std::uint64_t offset, ByteView data) override;
   Status Flush() override;
-  // Snapshots carry the full crash bookkeeping (durable image, its chunk
-  // digest table, journal, barrier count), not just the current contents,
-  // so explorer rollbacks restore the recorder to the exact persistence
-  // state too. The durable image is the snapshot's shared image; the rest
-  // is its bookkeeping blob. A restore validates both first: a malformed
-  // snapshot returns EINVAL and changes nothing.
+  // Snapshots carry the recorder's whole state (durable image, digest
+  // table, journal, barrier count), not just the current contents, so
+  // explorer rollbacks restore the recorder to the exact persistence
+  // state too. The durable image is the snapshot's shared image and the
+  // rest an immutable copy of the recorder state, so copies of the
+  // snapshot share both and a restore assigns them. A snapshot without
+  // recorder state, or whose image or recorder state is of another
+  // disk size, returns EINVAL and changes nothing.
   DeviceSnapshot SnapshotContents() const override;
   Status RestoreContents(const DeviceSnapshot& contents) override;
   const DeviceStats& stats() const override { return inner_->stats(); }
@@ -99,9 +119,10 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   // Crash-state generation -------------------------------------------------
   // Calls `visit` with each crash state in candidate order and stops early
   // when it returns false. States with identical images are visited once,
-  // the first in candidate order, and an image is materialized only for
-  // the state about to be visited: a caller that consumes each state
-  // before returning holds one image at a time.
+  // the first in candidate order: each candidate's image is built and
+  // compared with the images already visited in this call, which stay
+  // alive, sharing their blocks, until it returns. A visitor may write
+  // into the image it gets; a shared block is cloned first.
   void VisitCrashStates(const CrashStateOptions& options,
                         const std::function<bool(CrashState)>& visit) const;
   // Every state VisitCrashStates visits, collected.
@@ -121,31 +142,20 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   // states with different persistence futures must not hash-dedup.
   std::uint64_t StateDigest() const;
 
-  std::size_t pending_writes() const { return journal_.size(); }
-  std::uint64_t barriers() const { return barriers_; }
+  std::size_t pending_writes() const { return state_.journal.size(); }
+  std::uint64_t barriers() const { return state_.barriers; }
   const BlockImage& durable_image() const { return durable_; }
 
  private:
-  struct WriteRecord {
-    std::uint64_t offset = 0;
-    Bytes after;
-  };
-
   void RecordWrite(std::uint64_t offset, ByteView after);
   void CommitBarrier();
   BlockImage ImageWithSubset(const std::vector<std::size_t>& applied) const;
-  // Digest of the image ImageWithSubset(applied) would build, computed
-  // from the durable table plus the chunks those writes touch.
-  Md5Digest SubsetDigest(const std::vector<std::size_t>& applied) const;
 
   BlockDevicePtr inner_;
   std::shared_ptr<MtdDevice> mtd_;   // set iff observing a raw MTD
   BlockImage durable_;               // image as of the last barrier
-  Bytes chunk_table_;                // MD5 of each durable_ chunk, in order
-  std::vector<WriteRecord> journal_; // in-flight writes, issue order
-  std::uint64_t barriers_ = 0;
+  CrashRecorderState state_;
   std::uint64_t injected_flush_errors_ = 0;
-  std::uint64_t durable_digest_ = 0;
 };
 
 }  // namespace mcfs::storage

@@ -72,7 +72,7 @@ DeviceSnapshot MtdDevice::SnapshotContents() const {
 
 Status MtdDevice::RestoreContents(const DeviceSnapshot& contents) {
   if (contents.image.size() != image_.size() ||
-      !contents.bookkeeping.empty()) {
+      contents.recorder != nullptr) {
     return Errno::kEINVAL;
   }
   Charge((contents.size() + 1023) / 1024 * options_.read_latency_per_kb);

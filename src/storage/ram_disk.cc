@@ -82,7 +82,7 @@ DeviceSnapshot RamDisk::SnapshotContents() const {
 
 Status RamDisk::RestoreContents(const DeviceSnapshot& contents) {
   if (contents.image.size() != image_.size() ||
-      !contents.bookkeeping.empty()) {
+      contents.recorder != nullptr) {
     return Errno::kEINVAL;
   }
   ChargeSnapshotPass(contents.size());

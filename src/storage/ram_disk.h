@@ -26,7 +26,7 @@ struct RamDiskOptions {
   SimClock::Nanos request_latency = 25'000;           // 25 us
   std::uint64_t bandwidth_bytes_per_s = 2'000'000'000;
   // State capture/restore passes (Spin tracking the mmapped device):
-  // a fixed per-state bookkeeping cost (stack push, table lookups) plus
+  // a fixed per-state cost (stack push, table lookups) plus
   // a page-fault-and-hash rate well below memcpy speed.
   SimClock::Nanos snapshot_base_latency = 1'200'000;  // 1.2 ms
   std::uint64_t snapshot_bandwidth_bytes_per_s = 700'000'000;

@@ -1,7 +1,8 @@
 // Unit tests for CrashableDisk: crash-state enumeration (barrier
 // legality, golden counts, dedup, sampling), flush fault injection,
-// snapshot bookkeeping and hostile snapshots, a differential of the
-// chunk-digest dedup against whole-image MD5, the chunk table against
+// snapshot state and foreign or wrong-size snapshots, a differential of
+// the image-compare dedup against whole-image MD5 (also with a visitor
+// that overwrites the images it gets), the chunk table against
 // per-chunk MD5, and the MTD observer path —
 // including the regression test for MtdBlockShim::Flush(), which used to
 // be a silent no-op and made every un-flushed write look durable.
@@ -165,13 +166,18 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
   ASSERT_TRUE(disk->Write(256, AsBytes("pending")).ok());
 
   const DeviceSnapshot snapshot = disk->SnapshotContents();
-  // The durable image rides as the shared image, not as blob bytes.
+  // The durable image rides as the shared image, the rest as the shared
+  // recorder state.
   EXPECT_TRUE(snapshot.image == disk->durable_image());
+  ASSERT_NE(snapshot.recorder, nullptr);
+  EXPECT_EQ(snapshot.recorder->barriers, 1u);
+  EXPECT_EQ(snapshot.recorder->journal.size(), 1u);
 
   // Mutate past the snapshot: another barrier plus another write.
   ASSERT_TRUE(disk->Flush().ok());
   ASSERT_TRUE(disk->Write(512, AsBytes("later")).ok());
   ASSERT_EQ(disk->barriers(), 2u);
+  EXPECT_EQ(snapshot.recorder->journal.size(), 1u);  // left as taken
 
   ASSERT_TRUE(disk->RestoreContents(snapshot).ok());
   EXPECT_EQ(disk->barriers(), 1u);
@@ -183,17 +189,8 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
   const Bytes durable = disk->durable_image().ToBytes();
   EXPECT_EQ(durable[256], 0);
 
-  EXPECT_EQ(
-      disk->RestoreContents(DeviceSnapshot{BlockImage(Bytes(64, 0xab)), {}})
-          .error(),
-      Errno::kEINVAL);
-  EXPECT_EQ(
-      disk->RestoreContents(DeviceSnapshot{snapshot.image, Bytes(64, 0xab)})
-          .error(),
-      Errno::kEINVAL);
-
-  // Hostile snapshots: each returns EINVAL and leaves the recorder and
-  // the live contents exactly as they were.
+  // Foreign and wrong-size snapshots: each returns EINVAL and leaves the
+  // recorder and the live contents exactly as they were.
   ASSERT_TRUE(disk->Flush().ok());
   ASSERT_TRUE(disk->Write(1024, AsBytes("current")).ok());
   const std::uint64_t barriers = disk->barriers();
@@ -210,41 +207,21 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
     EXPECT_EQ(disk->StateDigest(), digest) << what;
     EXPECT_TRUE(ReadAll(*disk) == live_before) << what;
   };
-  // The snapshot's image with its bookkeeping blob patched.
-  auto put_le = [&snapshot](std::size_t at, std::uint64_t v,
-                            std::size_t width) {
-    DeviceSnapshot patched = snapshot;
-    for (std::size_t i = 0; i < width; ++i) {
-      patched.bookkeeping[at + i] = static_cast<std::uint8_t>(v >> (8 * i));
-    }
-    return patched;
-  };
-
-  const Bytes& blob = snapshot.bookkeeping;
-  for (std::size_t len = 0; len < blob.size(); ++len) {
-    expect_rejected(
-        DeviceSnapshot{snapshot.image,
-                       Bytes(blob.begin(),
-                             blob.begin() + static_cast<std::ptrdiff_t>(len))},
-        "truncated to " + std::to_string(len));
-  }
-  // The blob opens with a u32 magic and the u64 durable length, and ends
-  // with its journal: a u32 count, then the one record (u64 offset, u64
-  // length, the 7 bytes of "pending").
-  const std::size_t record_at = blob.size() - (8 + 8 + 7);
-  const std::size_t count_at = record_at - 4;
-  expect_rejected(put_le(record_at, std::uint64_t{1} << 40, 8),
-                  "offset far past the image");
-  expect_rejected(put_le(record_at, 4096 - 3, 8),
-                  "record overrunning the image end");
-  expect_rejected(put_le(count_at, 0xffffffffu, 4), "absurd record count");
-  expect_rejected(put_le(4, 8192, 8), "durable length disagrees with image");
+  RamDisk plain("plain", 4096, nullptr);
+  expect_rejected(plain.SnapshotContents(), "a RAM disk's snapshot");
+  expect_rejected(DeviceSnapshot{snapshot.image, {}},
+                  "image without recorder state");
+  expect_rejected(DeviceSnapshot{BlockImage(Bytes(64, 0xab)), {}},
+                  "short image without recorder state");
   auto bigger = MakeDisk(8192);
   ASSERT_TRUE(bigger->Write(0, AsBytes("x")).ok());
+  ASSERT_TRUE(bigger->Write(6000, AsBytes("past 4 KB")).ok());
   const DeviceSnapshot bigger_snapshot = bigger->SnapshotContents();
-  expect_rejected(bigger_snapshot, "well-formed, wrong size");
-  expect_rejected(DeviceSnapshot{bigger_snapshot.image, blob},
+  expect_rejected(bigger_snapshot, "a recorder's snapshot, wrong size");
+  expect_rejected(DeviceSnapshot{bigger_snapshot.image, snapshot.recorder},
                   "image of the wrong size");
+  expect_rejected(DeviceSnapshot{snapshot.image, bigger_snapshot.recorder},
+                  "recorder state of the wrong size");
 }
 
 TEST(CrashableDiskTest, MarkCleanCommitsWithoutBarrier) {
@@ -268,14 +245,17 @@ TEST(CrashableDiskTest, StateDigestSeesPendingWrites) {
   EXPECT_NE(disk->StateDigest(), dirty);
 }
 
-// --- Differential: chunk-digest dedup vs whole-image MD5 -----------------
+// --- Differential: image-compare dedup vs whole-image MD5 ----------------
 //
 // A test-local reference recorder keeps its own durable image and journal,
 // materializes every candidate of the exhaustive enumeration (prefixes in
 // length order, or subsets in mask order), and dedups by MD5 of each full
 // image. The recorder must return the same states, applied lists and
-// images. Journals stay at most 6 writes long, so max_states = 64 keeps
-// both barrier models exhaustive.
+// images, to a visitor that only reads its images and to one that
+// overwrites every block of each image before it returns (as a probe
+// mount that recovers a journal writes into its image). Journals stay at
+// most 6 writes long, so max_states = 64 keeps both barrier models
+// exhaustive.
 
 constexpr std::size_t kMaxPending = 6;
 
@@ -338,6 +318,25 @@ class ReferenceRecorder {
   std::vector<std::pair<std::uint64_t, Bytes>> journal_;
 };
 
+// Each state with a private copy of its image bytes, taken before the
+// visitor overwrites every block of the image it was handed.
+std::vector<CrashState> VisitAndOverwrite(const CrashableDisk& disk,
+                                          const CrashStateOptions& opts) {
+  std::vector<CrashState> states;
+  disk.VisitCrashStates(opts, [&states](CrashState st) {
+    states.push_back(
+        {BlockImage(st.image.ToBytes()), st.applied, st.pending_total});
+    for (std::size_t i = 0; i * kCowBlockSize < st.image.size(); ++i) {
+      const ByteView block = st.image.Block(i);
+      Bytes inverted(block.begin(), block.end());
+      for (std::uint8_t& b : inverted) b = static_cast<std::uint8_t>(~b);
+      st.image.Write(i * kCowBlockSize, inverted);
+    }
+    return true;
+  });
+  return states;
+}
+
 void ExpectMatchesReference(const CrashableDisk& disk,
                             const ReferenceRecorder& ref,
                             const std::string& where) {
@@ -346,15 +345,19 @@ void ExpectMatchesReference(const CrashableDisk& disk,
     CrashStateOptions opts;
     opts.barrier_model = model;
     opts.max_states = 64;
-    const auto got = disk.EnumerateCrashStates(opts);
     const auto want = ref.Enumerate(model);
-    const std::string what =
-        where + (model == BarrierModel::kOrdered ? " ordered" : " reorder");
-    ASSERT_EQ(got.size(), want.size()) << what;
-    for (std::size_t i = 0; i < got.size(); ++i) {
-      EXPECT_EQ(got[i].applied, want[i].applied) << what << " #" << i;
-      EXPECT_TRUE(got[i].image == want[i].image) << what << " #" << i;
-      EXPECT_EQ(got[i].pending_total, want[i].pending_total) << what;
+    for (const bool overwrite : {false, true}) {
+      const auto got = overwrite ? VisitAndOverwrite(disk, opts)
+                                 : disk.EnumerateCrashStates(opts);
+      const std::string what =
+          where + (model == BarrierModel::kOrdered ? " ordered" : " reorder") +
+          (overwrite ? " overwriting" : "");
+      ASSERT_EQ(got.size(), want.size()) << what;
+      for (std::size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].applied, want[i].applied) << what << " #" << i;
+        EXPECT_TRUE(got[i].image == want[i].image) << what << " #" << i;
+        EXPECT_EQ(got[i].pending_total, want[i].pending_total) << what;
+      }
     }
   }
 }
@@ -530,9 +533,9 @@ TEST(CrashableDiskDifferential, MtdJournalsMatchFullImageDedup) {
   }
 }
 
-// The chunk table a snapshot carries, and the durable digest StateDigest
-// folds in, against Md5::Hash of each chunk of the durable image. Call
-// with nothing in flight.
+// The chunk table a snapshot's recorder state carries, and the durable
+// digest StateDigest folds in, against Md5::Hash of each chunk of the
+// durable image. Call with nothing in flight.
 void ExpectTableMatchesPerChunkHash(const CrashableDisk& disk,
                                     const std::string& where) {
   constexpr std::size_t kChunk = CrashableDisk::kChunkBytes;
@@ -544,10 +547,8 @@ void ExpectTableMatchesPerChunkHash(const CrashableDisk& disk,
     want.insert(want.end(), digest.bytes.begin(), digest.bytes.end());
   }
   const DeviceSnapshot snapshot = disk.SnapshotContents();
-  ByteReader r(snapshot.bookkeeping);
-  r.GetU32();  // magic
-  r.GetU64();  // durable length
-  EXPECT_TRUE(r.GetBlob() == want) << where;
+  ASSERT_NE(snapshot.recorder, nullptr) << where;
+  EXPECT_TRUE(snapshot.recorder->chunk_table == want) << where;
   ASSERT_EQ(disk.pending_writes(), 0u) << where;
   Md5 state;
   state.UpdateU64(Md5::Hash(want).lo64());

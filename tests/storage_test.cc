@@ -77,10 +77,10 @@ TEST(RamDiskTest, RestoreRejectsWrongSize) {
   RamDisk disk("d0", 2048, nullptr);
   EXPECT_EQ(disk.RestoreContents(DeviceSnapshot{BlockImage(100), {}}).error(),
             Errno::kEINVAL);
-  // Right size, but carrying a decorator's bookkeeping: not a RAM disk's.
-  EXPECT_EQ(
-      disk.RestoreContents(DeviceSnapshot{BlockImage(2048), Bytes(4)}).error(),
-      Errno::kEINVAL);
+  // Right size, but a crash recorder's snapshot: not a RAM disk's.
+  CrashableDisk crash(std::make_shared<RamDisk>("d1", 2048, nullptr));
+  EXPECT_EQ(disk.RestoreContents(crash.SnapshotContents()).error(),
+            Errno::kEINVAL);
 }
 
 TEST(RamDiskTest, ChargesSimTime) {
