@@ -402,11 +402,10 @@ Status XfsFs::Mount() {
   // before trusting any structure (real XFS replays its log and reads
   // every AG header here; this is why XFS [re]mounts are expensive).
   // Nothing here looks at the bytes, so the scan only pays the reads.
-  if (const std::uint64_t chunk = options_.mount_scan_chunk; chunk > 0) {
-    for (std::uint64_t offset = 0; offset + chunk <= device_->size_bytes();
-         offset += chunk) {
-      if (Status s = device_->Scan(offset, chunk); !s.ok()) return s;
-    }
+  for (std::uint64_t offset = 0;
+       offset + kMountScanChunk <= device_->size_bytes();
+       offset += kMountScanChunk) {
+    if (Status s = device_->Scan(offset, kMountScanChunk); !s.ok()) return s;
   }
   auto raw = ReadBlock(0);
   if (!raw.ok()) return raw.error();

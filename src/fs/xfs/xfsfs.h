@@ -34,12 +34,6 @@ namespace mcfs::fs {
 struct XfsOptions {
   std::uint32_t block_size = 4096;
   std::uint32_t inode_count = 128;
-  // Mount performs a log-recovery / allocation-group scan over the
-  // device, read in chunks of this size (0 disables). XFS mounts are
-  // substantially heavier than ext2-family mounts — the reason the
-  // paper's remount ablation helps Ext4-vs-XFS (+70%) far more than
-  // Ext2-vs-Ext4 (+38%).
-  std::uint32_t mount_scan_chunk = 64 * 1024;
   Identity identity;
 };
 
@@ -68,6 +62,11 @@ class XfsFs final : public NamespaceFs<XfsInode, XfsOptions> {
   // Paper §6: "16MB for XFS, which allows a larger minimum file-system
   // size". Mkfs on anything smaller fails.
   static constexpr std::uint64_t kMinFsBytes = 16ull * 1024 * 1024;
+  // Mount performs a log-recovery / allocation-group scan over the
+  // device, read in chunks of this size. XFS mounts are substantially
+  // heavier than ext2-family mounts — the reason the paper's remount
+  // ablation helps Ext4-vs-XFS (+70%) far more than Ext2-vs-Ext4 (+38%).
+  static constexpr std::uint64_t kMountScanChunk = 64 * 1024;
 
   XfsFs(storage::BlockDevicePtr device, XfsOptions options = {});
   ~XfsFs() override;

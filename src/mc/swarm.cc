@@ -101,8 +101,7 @@ SwarmResult Swarm::Run(const SwarmFactory& factory) {
       owned_store = std::make_unique<ConcurrentBitstateFilter>(
           options_.base.bitstate_bits);
     } else {
-      owned_store =
-          std::make_unique<ShardedVisitedTable>(options_.shard_initial_capacity);
+      owned_store = std::make_unique<ShardedVisitedTable>();
     }
   }
   VisitedStore* shared_store =

@@ -66,8 +66,6 @@ struct SwarmOptions {
   // resumes DFS there. The swarm then terminates via distributed
   // detection: frontier empty and every worker quiescent.
   bool steal_work = false;
-  // Initial per-shard capacity of the cooperative sharded table.
-  std::size_t shard_initial_capacity = 256;
   // Distributed swarm: externally-owned shared structures (typically a
   // net::RemoteVisitedStore / net::RemoteFrontier speaking to servers on
   // other hosts) used *instead of* building in-process ones. Setting

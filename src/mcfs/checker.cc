@@ -68,7 +68,7 @@ CheckVerdict CompareAttrs(const fs::InodeAttr& a, const fs::InodeAttr& b,
 CheckVerdict CompareOutcomes(const Operation& op, const OpOutcome& a,
                              const OpOutcome& b,
                              const CheckerOptions& options) {
-  if (options.compare_return_values && a.error != b.error) {
+  if (a.error != b.error) {
     std::ostringstream detail;
     detail << op.ToString() << ": return codes differ: "
            << ErrnoName(a.error) << " vs " << ErrnoName(b.error);
@@ -76,7 +76,7 @@ CheckVerdict CompareOutcomes(const Operation& op, const OpOutcome& a,
   }
   if (a.error != Errno::kOk) return {true, ""};  // both failed identically
 
-  if (options.compare_data && a.data != b.data) {
+  if (a.data != b.data) {
     std::ostringstream detail;
     detail << op.ToString() << ": file data differs (" << a.data.size()
            << " vs " << b.data.size() << " bytes";
@@ -107,7 +107,7 @@ CheckVerdict CompareOutcomes(const Operation& op, const OpOutcome& a,
     }
   }
 
-  if (options.compare_attrs && a.has_attr && b.has_attr) {
+  if (a.has_attr && b.has_attr) {
     CheckVerdict verdict = CompareAttrs(a.attr, b.attr, options);
     if (!verdict.ok) {
       return {false, op.ToString() + ": " + verdict.detail};

@@ -32,12 +32,9 @@
 namespace mcfs::core {
 
 struct CheckerOptions {
-  bool compare_return_values = true;
   bool ignore_directory_sizes = true;   // §3.4 workaround 1
   bool sort_dirents = true;             // §3.4 workaround 2
   std::vector<std::string> special_names;  // §3.4 workaround 3 (basenames)
-  bool compare_data = true;
-  bool compare_attrs = true;
 };
 
 struct CheckVerdict {

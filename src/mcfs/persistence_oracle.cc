@@ -199,12 +199,7 @@ std::string PersistenceOracle::ValidateRecovered(fs::FileSystem& recovered) {
     bool legal = false;
     for (std::size_t i = lo; !legal && i < hist.versions.size(); ++i) {
       const PathVersion& v = hist.versions[i];
-      if (!v.exists) continue;
-      if (options_.unsynced_atomicity || i == lo) {
-        legal = SameVersion(v, got);
-      } else {
-        legal = v.type == got.type;
-      }
+      legal = v.exists && SameVersion(v, got);
     }
     if (!legal) {
       return "path " + path +

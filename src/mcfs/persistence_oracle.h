@@ -38,11 +38,6 @@
 namespace mcfs::core {
 
 struct PersistenceOracleOptions {
-  // Enforce that un-synced effects are all-or-nothing per path (the
-  // recovered state must match *some* observed version). Off relaxes the
-  // post-sync window to existence/type only — for file systems whose
-  // persistence granularity is finer than whole operations.
-  bool unsynced_atomicity = true;
   // Paths excluded from tracking and from the phantom check (the
   // free-space fill file, lost+found, ...). Exact matches only.
   std::vector<std::string> exempt_paths;

@@ -189,14 +189,12 @@ Result<Trace> TraceMinimizer::Minimize(const Trace& input,
   trace.TrimToFirst(rr.violation_index + 1);
 
   bool minimal = DdminPass(trace, rep);
-  if (options_.simplify_params) {
-    const std::size_t before = rep.param_simplifications;
-    SimplifyParams(trace, rep);
-    // A rewrite can make a formerly load-bearing record removable, so
-    // re-establish deletion-minimality for the *final* parameters.
-    if (rep.param_simplifications > before) {
-      minimal = DdminPass(trace, rep);
-    }
+  const std::size_t before = rep.param_simplifications;
+  SimplifyParams(trace, rep);
+  // A rewrite can make a formerly load-bearing record removable, so
+  // re-establish deletion-minimality for the *final* parameters.
+  if (rep.param_simplifications > before) {
+    minimal = DdminPass(trace, rep);
   }
   if (setup_failed_) {
     rep.replays = replays_;

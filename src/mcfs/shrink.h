@@ -24,8 +24,6 @@
 namespace mcfs::core {
 
 struct ShrinkOptions {
-  // Run the parameter-simplification pass after ddmin.
-  bool simplify_params = true;
   // Replay budget; the shrink stops with the best trace found so far
   // (one_minimal=false in the report) when it runs out.
   std::size_t max_replays = 20'000;

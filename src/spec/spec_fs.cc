@@ -399,7 +399,7 @@ Result<fs::StatVfs> SpecFs::StatFs() {
   if (!mounted_) return Errno::kEINVAL;
   fs::StatVfs out;
   out.block_size = 4096;
-  out.total_bytes = options_.virtual_total_bytes;
+  out.total_bytes = kVirtualTotalBytes;
   std::uint64_t used = 0;
   for (const auto& [ino, node] : inodes_) used += node.data.size();
   out.free_bytes = used >= out.total_bytes ? 0 : out.total_bytes - used;

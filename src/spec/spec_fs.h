@@ -49,16 +49,17 @@ namespace mcfs::spec {
 
 struct SpecFsOptions {
   fs::Identity identity;
-  // Virtual capacity reported by StatFs. Matches the VeriFS2 default
-  // quota so free-space equalization across a spec/VeriFS pair is a
-  // no-op. The spec never *enforces* it: no blocks, no ENOSPC.
-  std::uint64_t virtual_total_bytes = 8ull * 1024 * 1024;
 };
 
 class SpecFs final : public fs::FileSystem,
                      public fs::CheckpointableFs,
                      public fs::DaemonImage {
  public:
+  // Virtual capacity reported by StatFs. Matches the VeriFS2 default
+  // quota so free-space equalization across a spec/VeriFS pair is a
+  // no-op. The spec never *enforces* it: no blocks, no ENOSPC.
+  static constexpr std::uint64_t kVirtualTotalBytes = 8ull * 1024 * 1024;
+
   explicit SpecFs(SpecFsOptions options = {});
 
   // Restore-time cache invalidations, same contract as VeriFS (§6 bug #2).

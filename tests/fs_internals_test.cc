@@ -368,7 +368,7 @@ TEST(XfsInternals, HostileSuperblockGeometryIsRejectedBeforeReadingOn) {
     EXPECT_EQ(fresh.Mount().error(), Errno::kEINVAL)
         << "field " << field << " = " << value;
     const std::uint64_t scan_reads =
-        XfsFs::kMinFsBytes / XfsOptions{}.mount_scan_chunk;
+        XfsFs::kMinFsBytes / XfsFs::kMountScanChunk;
     EXPECT_LE(ram->stats().reads - reads_before, scan_reads + 1)
         << "field " << field << " = " << value;
   }
