@@ -33,20 +33,12 @@ FuseClientFs::FuseClientFs(FuseChannel* channel) : channel_(channel) {
     if (code == NotifyCode::kInvalEntry) {
       const std::string parent = r.GetString();
       const std::string name = r.GetString();
-      if (inval_entry_) inval_entry_(parent, name);
+      if (notifier_ != nullptr) notifier_->InvalEntry(parent, name);
     } else if (code == NotifyCode::kInvalInode) {
       const fs::InodeNum ino = r.GetU64();
-      if (inval_inode_) inval_inode_(ino);
+      if (notifier_ != nullptr) notifier_->InvalInode(ino);
     }
   });
-}
-
-void FuseClientFs::SetInvalEntryHandler(InvalEntryHandler handler) {
-  inval_entry_ = std::move(handler);
-}
-
-void FuseClientFs::SetInvalInodeHandler(InvalInodeHandler handler) {
-  inval_inode_ = std::move(handler);
 }
 
 Result<Bytes> FuseClientFs::Call(ByteView request) const {

@@ -4,14 +4,13 @@
 // (paper Figure 1, middle column).
 //
 // Reverse notifications from the host (cache invalidations emitted by
-// VeriFS restores) are decoded here and forwarded to handlers installed
-// by the Vfs owner.
+// VeriFS restores) are decoded here and forwarded to the kernel's
+// notifier, the Vfs that mounts this client.
 #pragma once
-
-#include <functional>
 
 #include "fs/checkpointable.h"
 #include "fs/filesystem.h"
+#include "fs/kernel_notifier.h"
 #include "fuse/fuse_channel.h"
 
 namespace mcfs::fuse {
@@ -19,16 +18,11 @@ namespace mcfs::fuse {
 class FuseClientFs final : public fs::FileSystem,
                            public fs::CheckpointableFs {
  public:
-  using InvalEntryHandler =
-      std::function<void(const std::string& parent, const std::string& name)>;
-  using InvalInodeHandler = std::function<void(fs::InodeNum ino)>;
-
   explicit FuseClientFs(FuseChannel* channel);
 
-  // Install receivers for host-initiated invalidations (typically bound
-  // to Vfs::NotifyInvalEntry / Vfs::NotifyInvalInode).
-  void SetInvalEntryHandler(InvalEntryHandler handler);
-  void SetInvalInodeHandler(InvalInodeHandler handler);
+  // Where host-initiated invalidations go (the Vfs that mounts this
+  // client); null drops them.
+  void SetNotifier(fs::KernelNotifier* notifier) { notifier_ = notifier; }
 
   // FileSystem.
   Status Mkfs() override;
@@ -85,8 +79,7 @@ class FuseClientFs final : public fs::FileSystem,
 
   FuseChannel* channel_;
   bool mounted_ = false;
-  InvalEntryHandler inval_entry_;
-  InvalInodeHandler inval_inode_;
+  fs::KernelNotifier* notifier_ = nullptr;
 };
 
 }  // namespace mcfs::fuse

@@ -75,21 +75,6 @@ fs::Jffs2Options Jffs2OptionsFor(const FsUnderTestConfig& config) {
   return opts;
 }
 
-// In-process transport: the daemon's fuse_lowlevel_notify_inval_* calls
-// land directly on the VFS, with no message channel in between.
-class DirectVfsNotifier : public fs::KernelNotifier {
- public:
-  explicit DirectVfsNotifier(vfs::Vfs* v) : vfs_(v) {}
-  void InvalEntry(const std::string& parent_path,
-                  const std::string& name) override {
-    vfs_->NotifyInvalEntry(parent_path, name);
-  }
-  void InvalInode(fs::InodeNum ino) override { vfs_->NotifyInvalInode(ino); }
-
- private:
-  vfs::Vfs* vfs_;
-};
-
 }  // namespace
 
 std::string_view FsKindName(FsKind kind) {
@@ -274,24 +259,16 @@ Result<std::unique_ptr<FsUnderTest>> FsUnderTest::Create(
   // ---- VFS ---------------------------------------------------------------
   fut->vfs_ = std::make_unique<vfs::Vfs>(fut->inner_fs_, clock);
   if (fut->client_ != nullptr) {
-    vfs::Vfs* v = fut->vfs_.get();
-    fut->client_->SetInvalEntryHandler(
-        [v](const std::string& parent, const std::string& name) {
-          v->NotifyInvalEntry(parent, name);
-        });
-    fut->client_->SetInvalInodeHandler(
-        [v](fs::InodeNum ino) { v->NotifyInvalInode(ino); });
-  }
-  if ((is_verifs || is_spec) && fut->client_ == nullptr) {
+    // FUSE or NFS: the client forwards the host's notifications.
+    fut->client_->SetNotifier(fut->vfs_.get());
+  } else if (is_verifs || is_spec) {
     // In-process deployment: there is no transport to carry the restore-
-    // time invalidation notifications, so hand the daemon a notifier
-    // that calls straight into the VFS. Without this the dcache/icache
-    // keep serving the abandoned timeline after every ioctl restore —
-    // the §3.2 incoherency the bug-#2 fix exists to eliminate — and the
+    // time invalidation notifications, so the daemon notifies the VFS
+    // directly. Without this the dcache/icache keep serving the
+    // abandoned timeline after every ioctl restore — the §3.2
+    // incoherency the bug-#2 fix exists to eliminate — and the
     // abstract-state walk reads stale attributes through them.
-    fut->direct_notifier_ =
-        std::make_unique<DirectVfsNotifier>(fut->vfs_.get());
-    daemon->SetNotifier(fut->direct_notifier_.get());
+    daemon->SetNotifier(fut->vfs_.get());
   }
 
   // ---- VM snapshotter ------------------------------------------------------

@@ -23,7 +23,6 @@
 
 #include "fs/filesystem.h"
 #include "fs/jffs2/jffs2fs.h"
-#include "fs/kernel_notifier.h"
 #include "fs/mount_state.h"
 #include "fs/perms.h"
 #include "fuse/fuse_host.h"
@@ -185,11 +184,8 @@ class FsUnderTest {
   // kVfsApi strategy: the mount-state capture half of the kernel FS.
   fs::MountStateCapture* mount_capture_ = nullptr;
 
+  // Also the kernel notifier of the daemon or of the FUSE/NFS client.
   std::unique_ptr<vfs::Vfs> vfs_;
-  // In-process deployments: carries the file system's cache-invalidation
-  // notifications straight to the VFS (the FUSE transport ships them over
-  // its message channel instead).
-  std::unique_ptr<fs::KernelNotifier> direct_notifier_;
   std::unique_ptr<snapshot::VmSnapshotter> vm_;
   std::unique_ptr<nfs::GaneshaServer> ganesha_;
   std::unique_ptr<snapshot::CriuSnapshotter> criu_;

@@ -32,14 +32,14 @@ void Vfs::DropCaches() {
   icache_.Clear();
 }
 
-void Vfs::NotifyInvalEntry(const std::string& parent_path,
-                           const std::string& name) {
+void Vfs::InvalEntry(const std::string& parent_path,
+                     const std::string& name) {
   const std::string path =
       parent_path == "/" ? "/" + name : parent_path + "/" + name;
   dcache_.InvalidateEntry(path);
 }
 
-void Vfs::NotifyInvalInode(fs::InodeNum ino) {
+void Vfs::InvalInode(fs::InodeNum ino) {
   icache_.Invalidate(ino);
   dcache_.InvalidateInode(ino);
 }

@@ -16,6 +16,7 @@
 #include <unordered_map>
 
 #include "fs/filesystem.h"
+#include "fs/kernel_notifier.h"
 #include "util/sim_clock.h"
 #include "vfs/cache.h"
 
@@ -38,7 +39,10 @@ struct VfsOptions {
 // Process-level file descriptor.
 using Fd = std::int32_t;
 
-class Vfs {
+// The VFS is the kernel a file system's cache invalidations reach: the
+// in-process daemon calls its KernelNotifier overrides directly, and a
+// FUSE or NFS client forwards the host's notifications to them.
+class Vfs final : public fs::KernelNotifier {
  public:
   // `clock` may be null (no time accounting).
   Vfs(fs::FileSystemPtr filesystem, SimClock* clock, VfsOptions options = {});
@@ -79,10 +83,10 @@ class Vfs {
 
   // ---- cache control (FUSE lowlevel notify analogues) ---------------------
   // fuse_lowlevel_notify_inval_entry: drop one (parent, name) binding.
-  void NotifyInvalEntry(const std::string& parent_path,
-                        const std::string& name);
+  void InvalEntry(const std::string& parent_path,
+                  const std::string& name) override;
   // fuse_lowlevel_notify_inval_inode: drop cached attributes of one inode.
-  void NotifyInvalInode(fs::InodeNum ino);
+  void InvalInode(fs::InodeNum ino) override;
   // Drop everything (what a real unmount guarantees, paper §3.2).
   void DropCaches();
 

@@ -150,14 +150,16 @@ TEST(FuseWireTest, RestoreNotificationsReachTheKernelSide) {
   FuseStack stack = MakeStack();
   stack.hosted->SetNotifier(stack.host.get());
 
-  std::vector<std::string> invalidated_entries;
-  std::vector<fs::InodeNum> invalidated_inos;
-  stack.client->SetInvalEntryHandler(
-      [&](const std::string& parent, const std::string& name) {
-        invalidated_entries.push_back(parent + "|" + name);
-      });
-  stack.client->SetInvalInodeHandler(
-      [&](fs::InodeNum ino) { invalidated_inos.push_back(ino); });
+  struct Recorder final : fs::KernelNotifier {
+    void InvalEntry(const std::string& parent,
+                    const std::string& name) override {
+      entries.push_back(parent + "|" + name);
+    }
+    void InvalInode(fs::InodeNum ino) override { inos.push_back(ino); }
+    std::vector<std::string> entries;
+    std::vector<fs::InodeNum> inos;
+  } recorder;
+  stack.client->SetNotifier(&recorder);
 
   auto snap = stack.client->Checkpoint();
   ASSERT_TRUE(snap.ok());
@@ -166,10 +168,10 @@ TEST(FuseWireTest, RestoreNotificationsReachTheKernelSide) {
 
   // The restore must have emitted an entry invalidation for /dir (the
   // path from the abandoned timeline) and inode invalidations.
-  EXPECT_NE(std::find(invalidated_entries.begin(),
-                      invalidated_entries.end(), "/|dir"),
-            invalidated_entries.end());
-  EXPECT_FALSE(invalidated_inos.empty());
+  EXPECT_NE(std::find(recorder.entries.begin(), recorder.entries.end(),
+                      "/|dir"),
+            recorder.entries.end());
+  EXPECT_FALSE(recorder.inos.empty());
 }
 
 TEST(FuseHostTest, HoldsCharDeviceHandle) {

@@ -225,7 +225,7 @@ TEST(VfsStaleness, NegativeEntrySurvivesUnderlyingRestore) {
   // The VFS still answers from its stale negative dentry.
   EXPECT_EQ(stack.vfs->Stat("/f").error(), Errno::kENOENT);
   // Only an explicit invalidation (or remount) fixes it.
-  stack.vfs->NotifyInvalEntry("/", "f");
+  stack.vfs->InvalEntry("/", "f");
   EXPECT_TRUE(stack.vfs->Stat("/f").ok());
 }
 
