@@ -71,17 +71,16 @@ Bytes ChunkTable(const BlockImage& image) {
 
 }  // namespace
 
-std::uint64_t CrashRecorderState::bytes() const {
-  std::uint64_t total = chunk_table.size();
-  for (const Write& rec : journal) {
-    total += sizeof(rec.offset) + rec.after.size();
-  }
-  return total;
-}
-
 // Defined here, where the recorder state is a complete type.
 std::uint64_t DeviceSnapshot::size() const {
-  return image.size() + (recorder != nullptr ? recorder->bytes() : 0);
+  std::uint64_t total = image.size();
+  if (recorder != nullptr) {
+    total += recorder->chunk_table.size();
+    for (const CrashRecorderState::Write& rec : recorder->journal) {
+      total += sizeof(rec.offset) + rec.after.size();
+    }
+  }
+  return total;
 }
 
 std::string CrashState::Describe() const {

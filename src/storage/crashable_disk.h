@@ -64,9 +64,6 @@ struct CrashRecorderState {
   std::uint64_t durable_digest = 0;  // MD5 over chunk_table, low 64 bits
   std::uint64_t barriers = 0;
   std::vector<Write> journal;        // in-flight writes, issue order
-
-  // The table and journal bytes, for DeviceSnapshot::size().
-  std::uint64_t bytes() const;
 };
 
 struct CrashState {
