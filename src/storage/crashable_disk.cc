@@ -96,8 +96,10 @@ std::string CrashState::Describe() const {
 
 CrashableDisk::CrashableDisk(BlockDevicePtr inner)
     : inner_(std::move(inner)), durable_(inner_->SnapshotContents().image) {
-  state_.chunk_table = ChunkTable(durable_);
-  state_.durable_digest = Md5::Hash(state_.chunk_table).lo64();
+  auto state = std::make_shared<CrashRecorderState>();
+  state->chunk_table = ChunkTable(durable_);
+  state->durable_digest = Md5::Hash(state->chunk_table).lo64();
+  state_ = std::move(state);
 }
 
 CrashableDisk::~CrashableDisk() {
@@ -145,25 +147,35 @@ Status CrashableDisk::OnMtdBarrier() {
   return Status::Ok();
 }
 
+CrashRecorderState& CrashableDisk::MutState() {
+  if (state_.use_count() > 1) {
+    state_ = std::make_shared<CrashRecorderState>(*state_);
+  }
+  // Every recorder state is made non-const, here or in the constructor;
+  // the pointer is to const only so that snapshots cannot change it.
+  return const_cast<CrashRecorderState&>(*state_);
+}
+
 void CrashableDisk::RecordWrite(std::uint64_t offset, ByteView after) {
-  state_.journal.push_back({offset, Bytes(after.begin(), after.end())});
+  MutState().journal.push_back({offset, Bytes(after.begin(), after.end())});
 }
 
 void CrashableDisk::CommitBarrier() {
+  CrashRecorderState& state = MutState();
   std::vector<std::size_t> dirty;
-  for (const CrashRecorderState::Write& rec : state_.journal) {
+  for (const CrashRecorderState::Write& rec : state.journal) {
     durable_.Write(rec.offset, rec.after);
     AddTouchedChunks(rec.offset, rec.after.size(), &dirty);
   }
   SortUnique(&dirty);
-  HashChunksInto(durable_, dirty, &state_.chunk_table);
-  state_.journal.clear();
-  ++state_.barriers;
-  state_.durable_digest = Md5::Hash(state_.chunk_table).lo64();
+  HashChunksInto(durable_, dirty, &state.chunk_table);
+  state.journal.clear();
+  ++state.barriers;
+  state.durable_digest = Md5::Hash(state.chunk_table).lo64();
 }
 
 void CrashableDisk::MarkClean() {
-  if (state_.journal.empty()) return;
+  if (state_->journal.empty()) return;
   CommitBarrier();
 }
 
@@ -173,7 +185,7 @@ BlockImage CrashableDisk::ImageWithSubset(
   // Ascending indices = issue order, so overlapping in-flight writes
   // resolve the same way the device would (later write wins).
   for (std::size_t idx : applied) {
-    image.Write(state_.journal[idx].offset, state_.journal[idx].after);
+    image.Write(state_->journal[idx].offset, state_->journal[idx].after);
   }
   return image;
 }
@@ -191,7 +203,7 @@ std::vector<CrashState> CrashableDisk::EnumerateCrashStates(
 void CrashableDisk::VisitCrashStates(
     const CrashStateOptions& options,
     const std::function<bool(CrashState)>& visit) const {
-  const std::size_t n = state_.journal.size();
+  const std::size_t n = state_->journal.size();
   const std::size_t cap = std::max<std::size_t>(options.max_states, 2);
 
   std::vector<std::vector<std::size_t>> subsets;
@@ -260,10 +272,10 @@ void CrashableDisk::VisitCrashStates(
 
 std::uint64_t CrashableDisk::StateDigest() const {
   Md5 md5;
-  md5.UpdateU64(state_.durable_digest);
-  md5.UpdateU64(state_.barriers);
-  md5.UpdateU64(state_.journal.size());
-  for (const CrashRecorderState::Write& rec : state_.journal) {
+  md5.UpdateU64(state_->durable_digest);
+  md5.UpdateU64(state_->barriers);
+  md5.UpdateU64(state_->journal.size());
+  for (const CrashRecorderState::Write& rec : state_->journal) {
     md5.UpdateU64(rec.offset);
     md5.Update(ByteView(rec.after.data(), rec.after.size()));
   }
@@ -271,8 +283,7 @@ std::uint64_t CrashableDisk::StateDigest() const {
 }
 
 DeviceSnapshot CrashableDisk::SnapshotContents() const {
-  return DeviceSnapshot{durable_,
-                        std::make_shared<const CrashRecorderState>(state_)};
+  return DeviceSnapshot{durable_, state_};
 }
 
 Status CrashableDisk::RestoreContents(const DeviceSnapshot& contents) {
@@ -281,7 +292,7 @@ Status CrashableDisk::RestoreContents(const DeviceSnapshot& contents) {
   // may lie past this one's end.
   if (contents.recorder == nullptr ||
       contents.image.size() != inner_->size_bytes() ||
-      contents.recorder->chunk_table.size() != state_.chunk_table.size()) {
+      contents.recorder->chunk_table.size() != state_->chunk_table.size()) {
     return Errno::kEINVAL;
   }
   // The inner device's live contents = durable + every in-flight write,
@@ -295,7 +306,7 @@ Status CrashableDisk::RestoreContents(const DeviceSnapshot& contents) {
     return s;
   }
   durable_ = contents.image;
-  state_ = *contents.recorder;
+  state_ = contents.recorder;
   return Status::Ok();
 }
 

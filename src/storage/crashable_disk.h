@@ -51,9 +51,10 @@ struct CrashStateOptions {
   std::uint64_t seed = 1;
 };
 
-// Everything a CrashableDisk records beside its durable image. A
-// snapshot holds it as DeviceSnapshot::recorder, immutable and shared,
-// so the snapshot's image plus this is the recorder's whole state.
+// Everything a CrashableDisk records beside its durable image. Its
+// snapshots share the disk's copy (DeviceSnapshot::recorder), which the
+// disk copies before it changes it, so a snapshot's image plus this is
+// the recorder's whole state as of the snapshot.
 struct CrashRecorderState {
   struct Write {
     std::uint64_t offset = 0;
@@ -99,9 +100,8 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   // Snapshots carry the recorder's whole state (durable image, digest
   // table, journal, barrier count), not just the current contents, so
   // explorer rollbacks restore the recorder to the exact persistence
-  // state too. The durable image is the snapshot's shared image and the
-  // rest an immutable copy of the recorder state, so copies of the
-  // snapshot share both and a restore assigns them. A snapshot without
+  // state too. A snapshot shares the disk's durable image and recorder
+  // state, and a restore assigns them back. A snapshot without
   // recorder state, or whose image or recorder state is of another
   // disk size, returns EINVAL and changes nothing.
   DeviceSnapshot SnapshotContents() const override;
@@ -139,19 +139,22 @@ class CrashableDisk final : public BlockDevice, public MtdWriteObserver {
   // states with different persistence futures must not hash-dedup.
   std::uint64_t StateDigest() const;
 
-  std::size_t pending_writes() const { return state_.journal.size(); }
-  std::uint64_t barriers() const { return state_.barriers; }
+  std::size_t pending_writes() const { return state_->journal.size(); }
+  std::uint64_t barriers() const { return state_->barriers; }
   const BlockImage& durable_image() const { return durable_; }
 
  private:
   void RecordWrite(std::uint64_t offset, ByteView after);
   void CommitBarrier();
+  // The recorder state, ready to change: copied first if a snapshot
+  // still shares it, so a snapshot's state never changes under it.
+  CrashRecorderState& MutState();
   BlockImage ImageWithSubset(const std::vector<std::size_t>& applied) const;
 
   BlockDevicePtr inner_;
   std::shared_ptr<MtdDevice> mtd_;   // set iff observing a raw MTD
   BlockImage durable_;               // image as of the last barrier
-  CrashRecorderState state_;
+  std::shared_ptr<const CrashRecorderState> state_;
   std::uint64_t injected_flush_errors_ = 0;
 };
 
