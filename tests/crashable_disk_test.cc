@@ -193,6 +193,9 @@ TEST(CrashableDiskTest, SnapshotCarriesCrashBookkeeping) {
   // recorder and the live contents exactly as they were.
   ASSERT_TRUE(disk->Flush().ok());
   ASSERT_TRUE(disk->Write(1024, AsBytes("current")).ok());
+  // The disk shared the restored state; changing it left the snapshot's.
+  EXPECT_EQ(snapshot.recorder->barriers, 1u);
+  EXPECT_EQ(snapshot.recorder->journal.size(), 1u);
   const std::uint64_t barriers = disk->barriers();
   const std::size_t pending = disk->pending_writes();
   const BlockImage durable_before = disk->durable_image();
