@@ -151,8 +151,8 @@ CrashRecorderState& CrashableDisk::MutState() {
   if (state_.use_count() > 1) {
     state_ = std::make_shared<CrashRecorderState>(*state_);
   }
-  // Every recorder state is made non-const, here or in the constructor;
-  // the pointer is to const only so that snapshots cannot change it.
+  // Recorder states are made only here and in the constructor, and not
+  // const; the pointer is to const so that snapshots cannot change one.
   return const_cast<CrashRecorderState&>(*state_);
 }
 
